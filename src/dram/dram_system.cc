@@ -12,24 +12,6 @@ DramSystem::DramSystem(unsigned num_channels, unsigned banks_per_channel,
 }
 
 unsigned
-DramSystem::channelsWithPending() const
-{
-    unsigned n = 0;
-    for (const auto &mc : controllers)
-        n += mc.pending() > 0;
-    return n;
-}
-
-unsigned
-DramSystem::banksWithPending() const
-{
-    unsigned n = 0;
-    for (const auto &mc : controllers)
-        n += mc.banksWithPending();
-    return n;
-}
-
-unsigned
 DramSystem::totalPending() const
 {
     unsigned n = 0;

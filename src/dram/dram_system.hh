@@ -16,6 +16,8 @@ namespace valley {
 /**
  * Aggregates the per-channel controllers and exposes the sampling
  * hooks for the channel/bank-level parallelism metrics (Fig. 14).
+ * The busy-channel and busy-bank counts are kept up to date at every
+ * enqueue and tick, so sampling them every cycle costs O(1).
  */
 class DramSystem
 {
@@ -34,15 +36,28 @@ class DramSystem
     bool
     enqueue(const DramRequest &req, Cycle now)
     {
-        return controllers[req.coord.channel].enqueue(req, now);
+        MemoryController &mc = controllers[req.coord.channel];
+        const bool was_idle = mc.pending() == 0;
+        const unsigned banks_before = mc.banksWithPending();
+        if (!mc.enqueue(req, now))
+            return false;
+        busyChannels += was_idle;
+        busyBanks += mc.banksWithPending() - banks_before;
+        return true;
     }
 
     /** Advance all channels one DRAM cycle; collect completions. */
     void
     tick(Cycle now, std::vector<DramCompletion> &done)
     {
-        for (auto &mc : controllers)
+        for (auto &mc : controllers) {
+            if (mc.pending() == 0)
+                continue; // an idle controller's tick is a no-op
+            const unsigned banks_before = mc.banksWithPending();
             mc.tick(now, done);
+            busyBanks -= banks_before - mc.banksWithPending();
+            busyChannels -= mc.pending() == 0;
+        }
     }
 
     unsigned
@@ -58,10 +73,10 @@ class DramSystem
     }
 
     /** Channels with >= 1 outstanding request (Fig. 14b sampling). */
-    unsigned channelsWithPending() const;
+    unsigned channelsWithPending() const { return busyChannels; }
 
     /** Sum over channels of banks with pending requests (Fig. 14c). */
-    unsigned banksWithPending() const;
+    unsigned banksWithPending() const { return busyBanks; }
 
     /** Total outstanding transactions. */
     unsigned totalPending() const;
@@ -71,6 +86,8 @@ class DramSystem
 
   private:
     std::vector<MemoryController> controllers;
+    unsigned busyChannels = 0; ///< controllers with pending() > 0
+    unsigned busyBanks = 0;    ///< sum of banksWithPending()
 };
 
 } // namespace valley

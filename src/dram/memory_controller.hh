@@ -16,6 +16,16 @@
  * request data is ready tCL + tBurst cycles after the column command.
  * Event counts (activations, reads, writes, row hits/misses) feed the
  * Micron power model and the Fig. 15/16 benches.
+ *
+ * Scheduling cost is bounded by per-bank bookkeeping instead of queue
+ * rescans: each bank counts its queued requests to the open row
+ * (`hits`) and remembers when its oldest queued conflicting request
+ * arrived (`oldestMissAt`). Both are exact, so one pass over the banks
+ * decides which banks can take a command this cycle, and the queue is
+ * walked (oldest first, stopping at the first match) only when one
+ * can. A queue entry is removed only by a column access, which is
+ * always a hit, so neither quantity ever needs a full recount except
+ * at activation, which changes which requests are hits.
  */
 
 #ifndef VALLEY_DRAM_MEMORY_CONTROLLER_HH
@@ -99,10 +109,14 @@ class MemoryController
     void tick(Cycle now, std::vector<DramCompletion> &done);
 
     /** Outstanding requests (queued + in flight). */
-    unsigned pending() const;
+    unsigned
+    pending() const
+    {
+        return static_cast<unsigned>(queue.size() + inflight.size());
+    }
 
     /** Number of banks with at least one queued request. */
-    unsigned banksWithPending() const;
+    unsigned banksWithPending() const { return busyBanks; }
 
     const DramChannelStats &stats() const { return stats_; }
 
@@ -119,6 +133,11 @@ class MemoryController
         Cycle readyAt = 0;      ///< earliest next command
         Cycle activatedAt = 0;  ///< for the tRAS constraint
         unsigned queued = 0;    ///< requests in queue targeting this bank
+        /** Queued requests to `openRow` (0 while closed). */
+        unsigned hits = 0;
+        /** Arrival of the oldest queued request to another row;
+         *  meaningful while open and `queued > hits`. */
+        Cycle oldestMissAt = 0;
     };
 
     /** In-flight column access waiting for its data burst. */
@@ -132,10 +151,15 @@ class MemoryController
 
     bool tryIssueColumn(Cycle now);
     bool tryBankCommand(Cycle now);
+    /** Open `bank` on `row` and recount its hits and oldest miss. */
+    void activate(unsigned bank, unsigned row, Cycle now);
 
     DramTiming timing;
     unsigned queueCapacity;
     std::vector<Bank> banks;
+    /** Per-bank "may take a command this cycle", rebuilt per call. */
+    std::vector<std::uint8_t> eligible;
+    unsigned busyBanks = 0; ///< banks with `queued > 0`
     std::deque<DramRequest> queue;
     std::vector<Inflight> inflight;
     Cycle busFreeAt = 0;

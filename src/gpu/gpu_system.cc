@@ -81,6 +81,7 @@ GpuSystem::dispatchTbs(const Kernel &k)
                 tbs.active = true;
                 tbs.warpsLeft = 0;
                 ++sm.activeTbs;
+                sm.wakeAt = 0;
                 for (unsigned w = 0; w < k.warpsPerTb(); ++w) {
                     WarpRt &warp = sm.warps[slot * k.warpsPerTb() + w];
                     warp.trace = &tbs.trace.warps[w];
@@ -121,13 +122,17 @@ GpuSystem::issueStage(unsigned sm_idx)
     const unsigned warps_in_use =
         static_cast<unsigned>(sm.warps.size());
 
+    // Earliest readyAt of an active, non-waiting warp: if no scheduler
+    // issues, nothing can until then (or until a warp changes state).
+    Cycle wake = ~Cycle{0};
+    bool issued = false;
     for (unsigned sched = 0; sched < cfg.schedulersPerSm; ++sched) {
+        // Active warps always have an instruction left (they retire
+        // when nextInstr reaches the end of their trace).
         const auto issuable = [&](unsigned w) {
             const WarpRt &warp = sm.warps[w];
             return warp.active && !warp.waiting &&
-                   warp.readyAt <= cycle &&
-                   warp.trace != nullptr &&
-                   warp.nextInstr < warp.trace->instrs.size();
+                   warp.readyAt <= cycle;
         };
 
         // Greedy-then-oldest: stick with the last warp while it is
@@ -142,19 +147,26 @@ GpuSystem::issueStage(unsigned sm_idx)
             std::uint64_t best_age = ~std::uint64_t{0};
             for (unsigned w = sched; w < warps_in_use;
                  w += cfg.schedulersPerSm) {
-                if (!issuable(w))
+                const WarpRt &warp = sm.warps[w];
+                if (!warp.active || warp.waiting)
                     continue;
-                if (sm.warps[w].age < best_age ||
-                    (sm.warps[w].age == best_age && w < pick)) {
-                    best_age = sm.warps[w].age;
+                if (warp.readyAt > cycle) {
+                    wake = std::min(wake, warp.readyAt);
+                    continue;
+                }
+                if (warp.age < best_age ||
+                    (warp.age == best_age && w < pick)) {
+                    best_age = warp.age;
                     pick = w;
                 }
             }
         }
         if (pick == UINT32_MAX)
             continue;
+        issued = true;
 
         WarpRt &warp = sm.warps[pick];
+        assert(warp.nextInstr < warp.trace->instrs.size());
         const MemInstr &instr = warp.trace->instrs[warp.nextInstr];
         warp.outstanding = static_cast<unsigned>(instr.lines.size());
         warp.waiting = true;
@@ -171,6 +183,8 @@ GpuSystem::issueStage(unsigned sm_idx)
         if (sm.lsu.size() >= cfg.lsuQueueDepth)
             return;
     }
+    if (!issued)
+        sm.wakeAt = wake;
 }
 
 bool
@@ -258,6 +272,7 @@ GpuSystem::warpInstrDone(unsigned gid)
 
     warp.waiting = false;
     ++warp.nextInstr;
+    sm.wakeAt = 0;
     noteProgress();
     if (warp.nextInstr < warp.trace->instrs.size()) {
         warp.readyAt = cycle + warp.trace->instrs[warp.nextInstr].gap;
@@ -280,9 +295,6 @@ GpuSystem::warpInstrDone(unsigned gid)
 void
 GpuSystem::sliceTick(unsigned slice)
 {
-    const unsigned mc_queue = slice; // naming clarity only
-    (void)mc_queue;
-
     // 1. Retry stalled replies first (they hold MSHR-free data).
     auto &stalled = stalledReplies[slice];
     while (!stalled.empty()) {
@@ -380,7 +392,6 @@ GpuSystem::handleDramCompletions()
             if (w == kNoWaiter)
                 continue;
             const unsigned sm = static_cast<unsigned>(w - 1);
-            ++llcReadReplies;
             pushEvent(Event{cycle + 4, Event::Type::ReplyReady,
                             slice, sm, line});
         }
@@ -449,7 +460,6 @@ GpuSystem::run(const Workload &workload)
     dispatchSeq = 0;
     requests = 0;
     instructions = 0.0;
-    llcReadReplies = 0;
     llcBusySamples = llcBusySum = 0;
     chBusySamples = chBusySum = 0;
     bankSamples = 0;
@@ -484,7 +494,8 @@ GpuSystem::run(const Workload &workload)
             // SM domain.
             for (unsigned s = 0; s < cfg.numSms; ++s) {
                 lsuStage(s);
-                issueStage(s);
+                if (cycle >= sms[s].wakeAt)
+                    issueStage(s);
             }
 
             // Event retirement (L1 hits, store acks, LLC replies).
@@ -560,13 +571,10 @@ GpuSystem::run(const Workload &workload)
         r.l1Accesses += c.stats().accesses;
         r.l1Misses += c.stats().misses + c.stats().mshrMerges;
     }
-    std::uint64_t llc_hits = 0;
     for (const SetAssocCache &c : llc) {
         r.llcAccesses += c.stats().accesses;
         r.llcMisses += c.stats().misses + c.stats().mshrMerges;
-        llc_hits += c.stats().hits;
     }
-    (void)llc_hits;
     r.llcMissRate = r.llcAccesses
                         ? static_cast<double>(r.llcMisses) /
                               static_cast<double>(r.llcAccesses)

@@ -19,6 +19,13 @@
  * The simulator samples the Fig. 14 parallelism metrics each cycle
  * and reports the full RunResult including Micron DRAM power and
  * GPUWattch-style system power.
+ *
+ * The cycle loop skips work that cannot change anything: an SM whose
+ * warps are all waiting or not yet ready sleeps until its `wakeAt`
+ * cycle (reset whenever a warp finishes an instruction or a TB is
+ * dispatched). The memory controller and crossbar keep their own
+ * per-bank and per-output bookkeeping (see their headers). All of it
+ * is exact; DESIGN.md "Cycle-loop scheduling" says why.
  */
 
 #ifndef VALLEY_GPU_GPU_SYSTEM_HH
@@ -83,6 +90,9 @@ class GpuSystem
         RingBuffer<LineReq> lsu;
         std::vector<unsigned> lastIssued; ///< per scheduler
         unsigned activeTbs = 0;
+        /** No warp can issue before this cycle unless one changes
+         *  state (instruction done, TB dispatch), which resets it. */
+        Cycle wakeAt = 0;
     };
 
     struct SliceReq
@@ -163,7 +173,6 @@ class GpuSystem
     std::uint64_t requests = 0;
     double instructions = 0.0;
     double instrsPerRequest = 60.0;
-    std::uint64_t llcReadReplies = 0;
 
     // Fig. 14 sampling accumulators.
     std::uint64_t llcBusySamples = 0, llcBusySum = 0;

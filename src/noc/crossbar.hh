@@ -9,6 +9,16 @@
  * the classic input-queued crossbar with head-of-line blocking, which
  * is exactly the congestion behavior that makes LLC-slice imbalance
  * expensive (paper Section VI-B, Fig. 13a).
+ *
+ * Arbitration reads a per-output bitmask of the inputs whose head
+ * packet targets that output (one 64-bit word per 64 inputs, so any
+ * input count works). A free output takes the first set bit at or
+ * after the round-robin pointer, wrapping once — the same input a
+ * scan from the pointer would find. Masks change only when a head
+ * does (inject into an empty queue, or a pop), and outputs are still
+ * served in ascending order, so an input whose head was just taken
+ * can send its next packet to a higher-numbered output in the same
+ * tick.
  */
 
 #ifndef VALLEY_NOC_CROSSBAR_HH
@@ -81,7 +91,7 @@ class Crossbar
     void tick(Cycle now, std::vector<NocDelivery> &done);
 
     /** Packets buffered or in flight. */
-    unsigned pending() const;
+    unsigned pending() const { return queued + transferring; }
 
     const NocStats &stats() const { return stats_; }
 
@@ -104,13 +114,23 @@ class Crossbar
         Packet current{};
     };
 
+    /** Mark input `in`'s current head (if any) in its output's mask. */
+    void markHead(unsigned in);
+    /** Round-robin pick among inputs heading to `out`; -1 if none. */
+    int pickInput(unsigned out) const;
+
     unsigned inputs;
     unsigned outputs;
     unsigned channelBytes;
     unsigned queueDepth;
+    unsigned maskWords; ///< 64-bit words per output mask
     std::vector<std::deque<Packet>> inQueue;
     std::vector<OutputPort> outPort;
+    /** Output o's mask is words [o*maskWords, (o+1)*maskWords). */
+    std::vector<std::uint64_t> headMask;
     unsigned rrPointer = 0;
+    unsigned queued = 0;       ///< packets in input queues
+    unsigned transferring = 0; ///< output ports mid-transfer
     NocStats stats_;
 };
 

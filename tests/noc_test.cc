@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "common/rng.hh"
 #include "noc/crossbar.hh"
 
 using namespace valley;
@@ -21,6 +24,71 @@ run(Crossbar &xb, Cycle start, std::size_t n, Cycle limit = 1000)
     EXPECT_EQ(done.size(), n);
     return done;
 }
+
+/**
+ * The arbitration written the plain way: every free output scans all
+ * inputs from the round-robin pointer. The crossbar keeps per-output
+ * head masks instead; this is the oracle it must agree with.
+ */
+class ReferenceCrossbar
+{
+  public:
+    ReferenceCrossbar(unsigned inputs, unsigned outputs, unsigned depth)
+        : q(inputs), port(outputs), depth(depth)
+    {}
+
+    bool
+    inject(unsigned in, unsigned out, unsigned flits, std::uint64_t tag,
+           Cycle now)
+    {
+        if (q[in].size() >= depth)
+            return false;
+        q[in].push_back({out, flits, tag, now});
+        return true;
+    }
+
+    void
+    tick(Cycle now, std::vector<NocDelivery> &done)
+    {
+        for (unsigned o = 0; o < port.size(); ++o)
+            if (port[o].busy && port[o].until <= now) {
+                port[o].busy = false;
+                done.push_back({o, port[o].p.tag, now, port[o].p.at});
+            }
+        const unsigned n = static_cast<unsigned>(q.size());
+        for (unsigned o = 0; o < port.size(); ++o) {
+            if (port[o].busy)
+                continue;
+            for (unsigned k = 0; k < n; ++k) {
+                auto &in = q[(rr + k) % n];
+                if (in.empty() || in.front().out != o)
+                    continue;
+                port[o] = {true, now + in.front().flits, in.front()};
+                in.pop_front();
+                break;
+            }
+        }
+        rr = (rr + 1) % n;
+    }
+
+  private:
+    struct P
+    {
+        unsigned out, flits;
+        std::uint64_t tag;
+        Cycle at;
+    };
+    struct Port
+    {
+        bool busy = false;
+        Cycle until = 0;
+        P p{};
+    };
+    std::vector<std::deque<P>> q;
+    std::vector<Port> port;
+    unsigned depth;
+    unsigned rr = 0;
+};
 
 } // namespace
 
@@ -167,4 +235,108 @@ TEST(Crossbar, PendingCount)
     for (Cycle c = 1; c < 10; ++c)
         xb.tick(c, done);
     EXPECT_EQ(xb.pending(), 0u);
+}
+
+// ---- arbitration details the head masks must keep ---------------------------
+
+TEST(Crossbar, NextHeadReachesHigherOutputInSameTick)
+{
+    // Outputs are served in ascending order: once output 0 takes the
+    // head, the input's next packet (to output 3) is the new head
+    // and output 3 takes it in the same tick.
+    Crossbar xb(2, 4, 32);
+    ASSERT_TRUE(xb.inject(0, 0, 32, 1, 0));
+    ASSERT_TRUE(xb.inject(0, 3, 32, 2, 0));
+    std::vector<NocDelivery> done;
+    xb.tick(1, done);
+    EXPECT_EQ(xb.pending(), 2u); // both packets are on their outputs
+    const auto rest = run(xb, 2, 2);
+    EXPECT_EQ(rest[0].delivered, 2u);
+    EXPECT_EQ(rest[1].delivered, 2u);
+}
+
+TEST(Crossbar, NextHeadToLowerOutputWaitsOneTick)
+{
+    // The converse: output 0 was already passed over this tick.
+    Crossbar xb(2, 4, 32);
+    ASSERT_TRUE(xb.inject(0, 3, 32, 1, 0));
+    ASSERT_TRUE(xb.inject(0, 0, 32, 2, 0));
+    const auto done = run(xb, 1, 2);
+    EXPECT_EQ(done[0].tag, 1u);
+    EXPECT_EQ(done[0].delivered, 2u);
+    EXPECT_EQ(done[1].tag, 2u);
+    EXPECT_EQ(done[1].delivered, 3u);
+}
+
+TEST(Crossbar, RoundRobinPointerAdvancesOnIdleTicks)
+{
+    // Inputs 0 and 3 contend for output 0 after `idle` empty ticks.
+    // The pointer moved once per tick, so the winner is the first of
+    // them at or after idle % 4.
+    for (unsigned idle = 0; idle < 8; ++idle) {
+        Crossbar xb(4, 1, 32);
+        std::vector<NocDelivery> done;
+        for (Cycle c = 1; c <= idle; ++c)
+            xb.tick(c, done);
+        ASSERT_TRUE(done.empty());
+        ASSERT_TRUE(xb.inject(0, 0, 32, 0, idle));
+        ASSERT_TRUE(xb.inject(3, 0, 32, 3, idle));
+        done = run(xb, idle + 1, 2, idle + 10);
+        const std::uint64_t winner = idle % 4 == 0 ? 0 : 3;
+        EXPECT_EQ(done[0].tag, winner) << "after " << idle << " idle ticks";
+    }
+}
+
+TEST(Crossbar, WideCrossbarServesAllInputsRoundRobin)
+{
+    // 96 inputs need a two-word head mask. Every input queues four
+    // 1-flit packets to output 0; the output then grants one input
+    // per tick, in pointer order, across both mask words.
+    constexpr unsigned kInputs = 96, kPerInput = 4;
+    Crossbar xb(kInputs, 8, 32, kPerInput);
+    for (unsigned in = 0; in < kInputs; ++in)
+        for (unsigned k = 0; k < kPerInput; ++k)
+            ASSERT_TRUE(xb.inject(in, 0, 32, in, 0));
+    const auto done = run(xb, 1, kInputs * kPerInput, 2000);
+    for (std::size_t i = 0; i < done.size(); ++i)
+        ASSERT_EQ(done[i].tag, i % kInputs) << "delivery " << i;
+    EXPECT_EQ(xb.pending(), 0u);
+}
+
+TEST(Crossbar, MatchesScanningReferenceOnRandomTraffic)
+{
+    // Random injections on shapes with one, two and three mask words;
+    // deliveries must equal the scanning oracle's every tick.
+    const unsigned shapes[][2] = {{12, 8}, {8, 12}, {64, 64},
+                                  {96, 8}, {130, 5}};
+    for (const auto &shape : shapes) {
+        const unsigned ins = shape[0], outs = shape[1];
+        Crossbar xb(ins, outs, 32, 4);
+        ReferenceCrossbar ref(ins, outs, 4);
+        XorShiftRng rng(ins * 1000 + outs);
+        std::vector<NocDelivery> got, want;
+        for (Cycle c = 1; c < 4000; ++c) {
+            const unsigned n = static_cast<unsigned>(rng.below(ins / 2 + 2));
+            for (unsigned k = 0; k < n; ++k) {
+                const unsigned in = static_cast<unsigned>(rng.below(ins));
+                // Skewed outputs give head-of-line blocking.
+                const unsigned out = static_cast<unsigned>(
+                    rng.chance(1, 2) ? rng.below(2) : rng.below(outs));
+                const unsigned bytes = rng.chance(1, 3) ? 136 : 8;
+                const std::uint64_t tag = rng.next();
+                ASSERT_EQ(xb.inject(in, out, bytes, tag, c),
+                          ref.inject(in, out, (bytes + 31) / 32, tag, c));
+            }
+            got.clear();
+            want.clear();
+            xb.tick(c, got);
+            ref.tick(c, want);
+            ASSERT_EQ(got.size(), want.size()) << ins << "x" << outs << " @" << c;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].output, want[i].output);
+                ASSERT_EQ(got[i].tag, want[i].tag);
+                ASSERT_EQ(got[i].delivered, want[i].delivered);
+            }
+        }
+    }
 }
