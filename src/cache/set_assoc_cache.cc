@@ -1,12 +1,14 @@
 #include "cache/set_assoc_cache.hh"
 
 #include <cassert>
+#include <utility>
 
 #include "common/bitops.hh"
 
 namespace valley {
 
-SetAssocCache::SetAssocCache(const CacheConfig &cfg) : cfg_(cfg)
+SetAssocCache::SetAssocCache(const CacheConfig &cfg)
+    : cfg_(cfg), mshrs(cfg.mshrEntries), mshrLines(cfg.mshrEntries, 0)
 {
     assert(cfg_.numSets() >= 1);
     assert(bits::isPow2(cfg_.lineBytes));
@@ -79,10 +81,9 @@ SetAssocCache::access(Addr line, bool write, std::uint64_t waiter)
     }
 
     // Read (or allocating write) miss.
-    auto it = mshrs.find(line);
-    if (it != mshrs.end()) {
-        it->second.waiters.push_back(waiter);
-        it->second.write |= write;
+    if (const int i = findMshr(line); i >= 0) {
+        mshrs[i].waiters.push_back(waiter);
+        mshrs[i].write |= write;
         ++stats_.mshrMerges;
         result.kind = CacheAccessResult::Kind::MergedMiss;
         return result;
@@ -93,28 +94,32 @@ SetAssocCache::access(Addr line, bool write, std::uint64_t waiter)
         result.kind = CacheAccessResult::Kind::Stall;
         return result;
     }
-    Mshr entry;
+    Mshr &entry = mshrs[mshrLive]; // a free slot's waiters are empty
+    mshrLines[mshrLive++] = line;
     entry.waiters.push_back(waiter);
     entry.write = write;
-    mshrs.emplace(line, std::move(entry));
     ++stats_.misses;
     result.kind = CacheAccessResult::Kind::Miss;
     return result;
 }
 
-std::vector<std::uint64_t>
+const std::vector<std::uint64_t> &
 SetAssocCache::fill(Addr line, CacheAccessResult &eviction)
 {
     eviction.dirtyEviction = false;
     ++useClock;
 
-    std::vector<std::uint64_t> waiters;
+    filledWaiters.clear();
     bool write = false;
-    auto it = mshrs.find(line);
-    if (it != mshrs.end()) {
-        waiters = std::move(it->second.waiters);
-        write = it->second.write;
-        mshrs.erase(it);
+    if (const int i = findMshr(line); i >= 0) {
+        // The slot takes the previous fill's storage, cleared above,
+        // so free slots hold empty vectors; the last live slot moves
+        // into the hole.
+        filledWaiters.swap(mshrs[i].waiters);
+        write = mshrs[i].write;
+        --mshrLive;
+        std::swap(mshrs[i], mshrs[mshrLive]);
+        mshrLines[i] = mshrLines[mshrLive];
     }
 
     if (!findLine(line)) {
@@ -131,7 +136,7 @@ SetAssocCache::fill(Addr line, CacheAccessResult &eviction)
     } else if (write && cfg_.writeAllocate) {
         markDirty(line);
     }
-    return waiters;
+    return filledWaiters;
 }
 
 bool

@@ -8,13 +8,19 @@
  * the L1 is write-through/no-write-allocate (GPU-style), the LLC is
  * write-back/write-allocate so dirty evictions generate DRAM
  * writebacks, which the Micron power model charges as write bursts.
+ *
+ * The MSHR table is a fixed array of `mshrEntries` slots, allocated
+ * once: live entries are packed at the front (a freed slot swaps
+ * with the last live one) and found by a scan of their line
+ * addresses, and each slot keeps its waiter vector's storage for the
+ * next miss. `fill` hands the waiters back in a vector the cache
+ * reuses, so the simulator's miss/fill cycle does not allocate.
  */
 
 #ifndef VALLEY_CACHE_SET_ASSOC_CACHE_HH
 #define VALLEY_CACHE_SET_ASSOC_CACHE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -101,11 +107,13 @@ class SetAssocCache
 
     /**
      * Install a previously missed line; returns the waiters recorded
-     * on its MSHR and frees the entry. Sets `result` eviction info
-     * when a dirty victim must be written back.
+     * on its MSHR, in arrival order, and frees the entry (no MSHR: no
+     * waiters). The returned vector is owned by the cache and valid
+     * until the next `fill`. Sets `eviction` when a dirty victim must
+     * be written back.
      */
-    std::vector<std::uint64_t> fill(Addr line,
-                                    CacheAccessResult &eviction);
+    const std::vector<std::uint64_t> &fill(Addr line,
+                                           CacheAccessResult &eviction);
 
     /** True iff the line is currently present (probe; no LRU update). */
     bool contains(Addr line) const;
@@ -114,24 +122,12 @@ class SetAssocCache
     void markDirty(Addr line);
 
     /** Outstanding MSHR entries. */
-    unsigned
-    mshrInUse() const
-    {
-        return static_cast<unsigned>(mshrs.size());
-    }
+    unsigned mshrInUse() const { return mshrLive; }
 
-    bool
-    mshrAvailable() const
-    {
-        return mshrs.size() < cfg_.mshrEntries;
-    }
+    bool mshrAvailable() const { return mshrLive < cfg_.mshrEntries; }
 
     /** True iff the line already has an outstanding MSHR. */
-    bool
-    mshrPending(Addr line) const
-    {
-        return mshrs.count(line) != 0;
-    }
+    bool mshrPending(Addr line) const { return findMshr(line) >= 0; }
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return cfg_; }
@@ -151,6 +147,16 @@ class SetAssocCache
         bool write = false;
     };
 
+    /** Slot of `line`'s live MSHR, or -1. */
+    int
+    findMshr(Addr line) const
+    {
+        for (unsigned i = 0; i < mshrLive; ++i)
+            if (mshrLines[i] == line)
+                return static_cast<int>(i);
+        return -1;
+    }
+
     std::uint32_t setOf(Addr line) const;
     Way *findLine(Addr line);
     const Way *findLine(Addr line) const;
@@ -158,7 +164,12 @@ class SetAssocCache
 
     CacheConfig cfg_;
     std::vector<Way> ways; // sets * ways, row-major by set
-    std::unordered_map<Addr, Mshr> mshrs;
+    /** Slots [0, mshrLive) are live; `mshrLines[i]` is slot i's line. */
+    std::vector<Mshr> mshrs;
+    std::vector<Addr> mshrLines;
+    unsigned mshrLive = 0;
+    /** What the last `fill` returned (swapped out of its slot). */
+    std::vector<std::uint64_t> filledWaiters;
     std::uint64_t useClock = 0;
     CacheStats stats_;
 };

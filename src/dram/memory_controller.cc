@@ -9,9 +9,10 @@ MemoryController::MemoryController(unsigned num_banks,
                                    const DramTiming &timing_,
                                    unsigned queue_capacity)
     : timing(timing_), queueCapacity(queue_capacity), banks(num_banks),
-      eligible(num_banks, 0)
+      queuedMask(num_banks), hitMask(num_banks)
 {
     assert(num_banks >= 1);
+    queue.reserve(queue_capacity);
 }
 
 namespace {
@@ -21,6 +22,8 @@ namespace {
  * conflicting request that has waited this long may close it anyway.
  */
 constexpr Cycle kStarvationLimit = 2000;
+
+constexpr Cycle kNever = ~Cycle{0};
 
 } // namespace
 
@@ -32,15 +35,21 @@ MemoryController::enqueue(const DramRequest &req, Cycle now)
     assert(req.coord.bank < banks.size());
     DramRequest r = req;
     r.enqueued = now;
-    Bank &bank = banks[r.coord.bank];
+    const unsigned b = r.coord.bank;
+    Bank &bank = banks[b];
     const bool first_miss = bank.queued == bank.hits;
-    if (bank.queued++ == 0)
+    if (bank.queued++ == 0) {
         ++busyBanks;
+        queuedMask.set(b);
+    }
     if (bank.open) {
-        if (bank.openRow == r.coord.row)
-            ++bank.hits;
-        else if (first_miss)
+        if (bank.openRow == r.coord.row) {
+            if (bank.hits++ == 0)
+                hitMask.set(b);
+        } else if (first_miss) {
             bank.oldestMissAt = now;
+        }
+        updateCommandAt(bank);
     }
     queue.push_back(r);
     return true;
@@ -68,6 +77,9 @@ MemoryController::activate(unsigned b, unsigned row, Cycle now)
             miss_seen = true;
         }
     }
+    if (bank.hits > 0)
+        hitMask.set(b); // clear while the bank was closed
+    updateCommandAt(bank);
 }
 
 bool
@@ -75,17 +87,17 @@ MemoryController::tryIssueColumn(Cycle now)
 {
     if (busFreeAt > now)
         return false;
-    bool any = false;
-    for (std::size_t b = 0; b < banks.size(); ++b) {
-        eligible[b] = banks[b].hits > 0 && banks[b].readyAt <= now;
-        any |= eligible[b] != 0;
-    }
-    if (!any)
+    if (!hitMask.findIf([&](std::size_t b) {
+            return banks[b].readyAt <= now;
+        }))
         return false;
-    // The oldest hit to a ready bank issues its column access.
+    // The oldest hit to a ready bank issues its column access. A
+    // queued request to an open bank's row is a hit, so `hits > 0`.
     for (auto it = queue.begin(); it != queue.end(); ++it) {
-        Bank &bank = banks[it->coord.bank];
-        if (!eligible[it->coord.bank] || bank.openRow != it->coord.row)
+        const unsigned b = it->coord.bank;
+        Bank &bank = banks[b];
+        if (!bank.open || bank.openRow != it->coord.row ||
+            bank.readyAt > now)
             continue;
         // Column access: reserve the bus, schedule completion.
         busFreeAt = now + timing.tBurst;
@@ -100,14 +112,38 @@ MemoryController::tryIssueColumn(Cycle now)
             stats_.reads++;
         inflight.push_back(
             Inflight{it->tag, done, it->write, it->enqueued});
-        --bank.hits;
-        if (--bank.queued == 0)
+        if (--bank.hits == 0)
+            hitMask.reset(b);
+        if (--bank.queued == 0) {
             --busyBanks;
+            queuedMask.reset(b);
+        }
+        updateCommandAt(bank);
         queue.erase(it);
         return true;
     }
     assert(false && "an eligible bank has a queued hit");
     return false;
+}
+
+void
+MemoryController::updateCommandAt(Bank &bank) const
+{
+    // A closed bank activates once ready (and tRRD allows). An open
+    // bank precharges for a conflicting request once ready and tRAS
+    // has passed, and, while younger hits hold the row open, once
+    // that request has starved.
+    Cycle at = bank.readyAt;
+    if (bank.open) {
+        if (bank.queued == bank.hits) {
+            at = kNever; // no conflicting request
+        } else {
+            at = std::max(at, bank.activatedAt + timing.tRAS);
+            if (bank.hits > 0)
+                at = std::max(at, bank.oldestMissAt + kStarvationLimit);
+        }
+    }
+    bank.commandAt = at;
 }
 
 bool
@@ -120,37 +156,25 @@ MemoryController::tryBankCommand(Cycle now)
     // passed and no younger hit holds the row open (unless that
     // request has starved). A request counts as a row miss once,
     // when its row is activated.
-    bool any = false;
-    for (std::size_t b = 0; b < banks.size(); ++b) {
-        const Bank &bank = banks[b];
-        bool ok = false;
-        if (bank.queued > 0 && bank.readyAt <= now) {
-            if (!bank.open)
-                ok = nextActivateAt <= now;
-            else
-                ok = bank.queued > bank.hits &&
-                     (bank.hits == 0 ||
-                      now - bank.oldestMissAt >= kStarvationLimit) &&
-                     bank.activatedAt + timing.tRAS <= now;
-        }
-        eligible[b] = ok;
-        any |= ok;
-    }
-    if (!any)
+    if (!queuedMask.findIf([&](std::size_t b) {
+            return canTakeBankCommand(banks[b], now);
+        }))
         return false;
 
     for (const DramRequest &req : queue) {
         const unsigned b = req.coord.bank;
-        if (!eligible[b])
-            continue;
         Bank &bank = banks[b];
+        if (bank.open && bank.openRow == req.coord.row)
+            continue; // a column access will pick this up
+        if (!canTakeBankCommand(bank, now))
+            continue;
         if (bank.open) {
-            if (bank.openRow == req.coord.row)
-                continue; // a column access will pick this up
             // Conflict: close the current row.
             bank.open = false;
             bank.hits = 0;
+            hitMask.reset(b);
             bank.readyAt = now + timing.tRP;
+            updateCommandAt(bank);
             stats_.precharges++;
             return true;
         }

@@ -20,21 +20,29 @@
  * Scheduling cost is bounded by per-bank bookkeeping instead of queue
  * rescans: each bank counts its queued requests to the open row
  * (`hits`) and remembers when its oldest queued conflicting request
- * arrived (`oldestMissAt`). Both are exact, so one pass over the banks
- * decides which banks can take a command this cycle, and the queue is
- * walked (oldest first, stopping at the first match) only when one
- * can. A queue entry is removed only by a column access, which is
- * always a hit, so neither quantity ever needs a full recount except
- * at activation, which changes which requests are hits.
+ * arrived (`oldestMissAt`). Both are exact, so each bank alone decides
+ * whether it can take a command this cycle, and the queue is walked
+ * (oldest first, stopping at the first match) only when one can. A
+ * queue entry is removed only by a column access, which is always a
+ * hit, so neither quantity ever needs a full recount except at
+ * activation, which changes which requests are hits.
+ *
+ * Two bank masks (one bit per bank, any bank count) name the banks
+ * worth asking: `hitMask` the banks with a queued hit (`hits > 0`),
+ * `queuedMask` those with any queued request. Each bank also caches
+ * `commandAt`, the first cycle its FCFS rule lets it precharge or
+ * activate. All three change only at enqueue, column issue, precharge
+ * and activation, so the column pass and the bank-command pass visit
+ * only set bits and ask each one a single compare.
  */
 
 #ifndef VALLEY_DRAM_MEMORY_CONTROLLER_HH
 #define VALLEY_DRAM_MEMORY_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/bit_mask.hh"
 #include "common/types.hh"
 #include "dram/dram_timing.hh"
 #include "mapping/address_layout.hh"
@@ -138,6 +146,9 @@ class MemoryController
         /** Arrival of the oldest queued request to another row;
          *  meaningful while open and `queued > hits`. */
         Cycle oldestMissAt = 0;
+        /** Earliest cycle the FCFS rule lets this bank precharge (open)
+         *  or activate (closed, tRRD aside), given its state now. */
+        Cycle commandAt = 0;
     };
 
     /** In-flight column access waiting for its data burst. */
@@ -151,16 +162,28 @@ class MemoryController
 
     bool tryIssueColumn(Cycle now);
     bool tryBankCommand(Cycle now);
+    /** Recompute `bank.commandAt`; called whenever its state changes. */
+    void updateCommandAt(Bank &bank) const;
+    /** Whether a bank with queued requests can precharge or activate
+     *  at `now` (the FCFS rule, see tryBankCommand). */
+    bool
+    canTakeBankCommand(const Bank &bank, Cycle now) const
+    {
+        return bank.commandAt <= now &&
+               (bank.open || nextActivateAt <= now);
+    }
     /** Open `bank` on `row` and recount its hits and oldest miss. */
     void activate(unsigned bank, unsigned row, Cycle now);
 
     DramTiming timing;
     unsigned queueCapacity;
     std::vector<Bank> banks;
-    /** Per-bank "may take a command this cycle", rebuilt per call. */
-    std::vector<std::uint8_t> eligible;
+    BitMask queuedMask; ///< banks with `queued > 0`
+    BitMask hitMask;    ///< banks with `hits > 0`
     unsigned busyBanks = 0; ///< banks with `queued > 0`
-    std::deque<DramRequest> queue;
+    /** Arrival order; at most `queueCapacity` entries, erased only by
+     *  column accesses. */
+    std::vector<DramRequest> queue;
     std::vector<Inflight> inflight;
     Cycle busFreeAt = 0;
     Cycle nextActivateAt = 0; ///< tRRD window across banks

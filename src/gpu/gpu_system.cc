@@ -96,6 +96,7 @@ GpuSystem::dispatchTbs(const Kernel &k)
                         warp.readyAt =
                             cycle + warp.trace->instrs.front().gap;
                         ++tbs.warpsLeft;
+                        sm.candidates.set(slot * k.warpsPerTb() + w);
                     }
                 }
                 ++dispatchSeq;
@@ -119,47 +120,38 @@ GpuSystem::issueStage(unsigned sm_idx)
     Sm &sm = sms[sm_idx];
     if (sm.lsu.size() >= cfg.lsuQueueDepth)
         return;
-    const unsigned warps_in_use =
-        static_cast<unsigned>(sm.warps.size());
 
     // Earliest readyAt of an active, non-waiting warp: if no scheduler
     // issues, nothing can until then (or until a warp changes state).
     Cycle wake = ~Cycle{0};
     bool issued = false;
     for (unsigned sched = 0; sched < cfg.schedulersPerSm; ++sched) {
-        // Active warps always have an instruction left (they retire
-        // when nextInstr reaches the end of their trace).
-        const auto issuable = [&](unsigned w) {
-            const WarpRt &warp = sm.warps[w];
-            return warp.active && !warp.waiting &&
-                   warp.readyAt <= cycle;
-        };
-
         // Greedy-then-oldest: stick with the last warp while it is
         // ready; otherwise pick the oldest ready warp of this
-        // scheduler (age = TB dispatch order, then warp index).
+        // scheduler (age = TB dispatch order, then warp index). Only
+        // candidate warps (active, not waiting) are visited; active
+        // warps always have an instruction left (they retire when
+        // nextInstr reaches the end of their trace).
         unsigned pick = UINT32_MAX;
         const unsigned last = sm.lastIssued[sched];
-        if (last != UINT32_MAX && last < warps_in_use &&
-            (last % cfg.schedulersPerSm) == sched && issuable(last)) {
+        // (`lastIssued[sched]` is one of sched's warps, or UINT32_MAX,
+        // which is in no mask.)
+        if (sm.candidates.test(last) &&
+            sm.warps[last].readyAt <= cycle) {
             pick = last;
         } else {
             std::uint64_t best_age = ~std::uint64_t{0};
-            for (unsigned w = sched; w < warps_in_use;
-                 w += cfg.schedulersPerSm) {
-                const WarpRt &warp = sm.warps[w];
-                if (!warp.active || warp.waiting)
-                    continue;
-                if (warp.readyAt > cycle) {
-                    wake = std::min(wake, warp.readyAt);
-                    continue;
-                }
-                if (warp.age < best_age ||
-                    (warp.age == best_age && w < pick)) {
-                    best_age = warp.age;
-                    pick = w;
-                }
-            }
+            BitMask::findIfBoth(
+                sm.candidates, schedulerWarps[sched], [&](std::size_t w) {
+                    const WarpRt &warp = sm.warps[w];
+                    if (warp.readyAt > cycle)
+                        wake = std::min(wake, warp.readyAt);
+                    else if (warp.age < best_age) {
+                        best_age = warp.age;
+                        pick = static_cast<unsigned>(w);
+                    }
+                    return false;
+                });
         }
         if (pick == UINT32_MAX)
             continue;
@@ -170,6 +162,7 @@ GpuSystem::issueStage(unsigned sm_idx)
         const MemInstr &instr = warp.trace->instrs[warp.nextInstr];
         warp.outstanding = static_cast<unsigned>(instr.lines.size());
         warp.waiting = true;
+        sm.candidates.reset(pick);
         sm.lastIssued[sched] = pick;
         for (Addr line : instr.lines) {
             // Lines were remapped once at TB dispatch (premapTrace).
@@ -196,8 +189,10 @@ GpuSystem::tryIssueLine(unsigned sm_idx, const LineReq &req)
 
     if (req.write) {
         // Write-through: needs a request-NoC slot for the data.
-        if (!reqNoc->canInject(sm_idx))
+        if (!reqNoc->canInject(sm_idx)) {
+            sms[sm_idx].lsuBlocked = Blocked::Link;
             return false;
+        }
         l1.access(req.line, true, kNoWaiter);
         reqNoc->inject(sm_idx, slice, cfg.dataPacketBytes,
                        (std::uint64_t{1} << 63) |
@@ -214,8 +209,14 @@ GpuSystem::tryIssueLine(unsigned sm_idx, const LineReq &req)
     const bool present = l1.contains(req.line);
     const bool merged = l1.mshrPending(req.line);
     if (!present && !merged) {
-        if (!l1.mshrAvailable() || !reqNoc->canInject(sm_idx))
+        if (!l1.mshrAvailable()) {
+            sms[sm_idx].lsuBlocked = Blocked::Mshr;
             return false;
+        }
+        if (!reqNoc->canInject(sm_idx)) {
+            sms[sm_idx].lsuBlocked = Blocked::Link;
+            return false;
+        }
     }
 
     const CacheAccessResult r =
@@ -233,8 +234,9 @@ GpuSystem::tryIssueLine(unsigned sm_idx, const LineReq &req)
                        nocCycle);
         return true;
       case CacheAccessResult::Kind::Stall:
-        return false;
+        break; // ruled out by the MSHR probe above
     }
+    assert(false && "unreachable");
     return false;
 }
 
@@ -242,6 +244,14 @@ void
 GpuSystem::lsuStage(unsigned sm_idx)
 {
     Sm &sm = sms[sm_idx];
+    // A blocked head stays blocked until its cause changes: only this
+    // SM's own accesses (none while blocked) and fills into its L1
+    // (deliverReply clears the gate) change the L1, and only a
+    // request-NoC tick frees input room.
+    if (sm.lsuBlocked == Blocked::Mshr ||
+        (sm.lsuBlocked == Blocked::Link && !reqNoc->canInject(sm_idx)))
+        return;
+    sm.lsuBlocked = Blocked::No;
     for (unsigned n = 0; n < cfg.lsuWidth && !sm.lsu.empty(); ++n) {
         if (!tryIssueLine(sm_idx, sm.lsu.front()))
             break; // head-of-line blocking; retry next cycle
@@ -276,6 +286,7 @@ GpuSystem::warpInstrDone(unsigned gid)
     noteProgress();
     if (warp.nextInstr < warp.trace->instrs.size()) {
         warp.readyAt = cycle + warp.trace->instrs[warp.nextInstr].gap;
+        sm.candidates.set(w);
         return;
     }
 
@@ -314,7 +325,16 @@ GpuSystem::sliceTick(unsigned slice)
         wbs.pop_front();
     }
 
-    // 3. Serve the input queue.
+    // 3. Serve the input queue, unless its head is blocked and the
+    // cause has not changed: only this slice's own accesses (none
+    // while blocked) and LLC fills into it (which clear the gate)
+    // change the slice, and only a column issue frees channel room.
+    SliceGate &gate = sliceGate[slice];
+    if (gate.blocked == Blocked::Mshr ||
+        (gate.blocked == Blocked::Link &&
+         !dram->canAccept(gate.blockedChannel)))
+        return;
+    gate.blocked = Blocked::No;
     for (unsigned n = 0; n < cfg.llcPortsPerTick; ++n) {
         if (sliceQueue[slice].empty())
             break;
@@ -326,9 +346,15 @@ GpuSystem::sliceTick(unsigned slice)
         const bool pending = cache.mshrPending(req.line);
         if (!present && !pending) {
             // Will need a DRAM fill: require MSHR + MC queue space.
-            if (!cache.mshrAvailable() ||
-                !dram->canAccept(coord.channel))
+            if (!cache.mshrAvailable()) {
+                gate.blocked = Blocked::Mshr;
                 break;
+            }
+            if (!dram->canAccept(coord.channel)) {
+                gate.blocked = Blocked::Link;
+                gate.blockedChannel = coord.channel;
+                break;
+            }
         }
 
         const std::uint64_t waiter =
@@ -364,7 +390,8 @@ void
 GpuSystem::deliverReply(unsigned sm, Addr line)
 {
     CacheAccessResult eviction;
-    const auto waiters = l1s[sm].fill(line, eviction);
+    const auto &waiters = l1s[sm].fill(line, eviction);
+    sms[sm].lsuBlocked = Blocked::No;
     // L1 is write-through: evictions are always clean.
     for (std::uint64_t w : waiters)
         if (w != kNoWaiter)
@@ -379,7 +406,8 @@ GpuSystem::handleDramCompletions()
         const unsigned slice = static_cast<unsigned>(c.tag >> 40);
         const Addr line = c.tag & ((std::uint64_t{1} << 40) - 1);
         CacheAccessResult eviction;
-        const auto waiters = llc[slice].fill(line, eviction);
+        const auto &waiters = llc[slice].fill(line, eviction);
+        sliceGate[slice].blocked = Blocked::No;
         if (eviction.dirtyEviction) {
             DramRequest wb;
             wb.coord = decoder.decode(eviction.victimLine);
@@ -395,22 +423,39 @@ GpuSystem::handleDramCompletions()
             pushEvent(Event{cycle + 4, Event::Type::ReplyReady,
                             slice, sm, line});
         }
+        noteSliceState(slice);
         noteProgress();
     }
     dramDone.clear();
 }
 
 void
+GpuSystem::noteSliceState(unsigned s)
+{
+    const bool queued =
+        !sliceQueue[s].empty() || !stalledReplies[s].empty();
+    if (queued || !pendingWritebacks[s].empty())
+        sliceWork.set(s);
+    else
+        sliceWork.reset(s);
+    const bool busy = queued || llc[s].mshrInUse() > 0;
+    if (busy == sliceBusy.test(s))
+        return;
+    if (busy) {
+        sliceBusy.set(s);
+        ++busySlices;
+    } else {
+        sliceBusy.reset(s);
+        --busySlices;
+    }
+}
+
+void
 GpuSystem::sampleMetrics()
 {
-    unsigned busy_slices = 0;
-    for (unsigned s = 0; s < cfg.llcSlices; ++s)
-        busy_slices += !sliceQueue[s].empty() ||
-                       llc[s].mshrInUse() > 0 ||
-                       !stalledReplies[s].empty();
-    if (busy_slices) {
+    if (busySlices) {
         ++llcBusySamples;
-        llcBusySum += busy_slices;
+        llcBusySum += busySlices;
     }
 
     const unsigned busy_ch = dram->channelsWithPending();
@@ -431,8 +476,13 @@ GpuSystem::run(const Workload &workload)
     sms.assign(cfg.numSms, Sm{});
     for (Sm &sm : sms) {
         sm.warps.assign(cfg.maxWarpsPerSm, WarpRt{});
+        sm.candidates = BitMask(cfg.maxWarpsPerSm);
         sm.lastIssued.assign(cfg.schedulersPerSm, UINT32_MAX);
     }
+    schedulerWarps.assign(cfg.schedulersPerSm,
+                          BitMask(cfg.maxWarpsPerSm));
+    for (unsigned w = 0; w < cfg.maxWarpsPerSm; ++w)
+        schedulerWarps[w % cfg.schedulersPerSm].set(w);
     l1s.clear();
     for (unsigned s = 0; s < cfg.numSms; ++s)
         l1s.emplace_back(cfg.l1);
@@ -440,6 +490,10 @@ GpuSystem::run(const Workload &workload)
     for (unsigned s = 0; s < cfg.llcSlices; ++s)
         llc.emplace_back(cfg.llcSlice);
     sliceQueue.assign(cfg.llcSlices, {});
+    sliceGate.assign(cfg.llcSlices, {});
+    sliceWork = BitMask(cfg.llcSlices);
+    sliceBusy = BitMask(cfg.llcSlices);
+    busySlices = 0;
     pendingWritebacks.assign(cfg.llcSlices, {});
     stalledReplies.assign(cfg.llcSlices, {});
     reqNoc = std::make_unique<Crossbar>(cfg.numSms, cfg.llcSlices,
@@ -493,7 +547,8 @@ GpuSystem::run(const Workload &workload)
 
             // SM domain.
             for (unsigned s = 0; s < cfg.numSms; ++s) {
-                lsuStage(s);
+                if (!sms[s].lsu.empty())
+                    lsuStage(s);
                 if (cycle >= sms[s].wakeAt)
                     issueStage(s);
             }
@@ -511,9 +566,11 @@ GpuSystem::run(const Workload &workload)
                     if (!replyNoc->inject(
                             ev.a, ev.b, cfg.dataPacketBytes,
                             (std::uint64_t{ev.b} << 48) | ev.line,
-                            nocCycle))
+                            nocCycle)) {
                         stalledReplies[ev.a].emplace_back(ev.b,
                                                           ev.line);
+                        noteSliceState(ev.a);
+                    }
                 }
             }
 
@@ -530,9 +587,14 @@ GpuSystem::run(const Workload &workload)
                         d.tag & ((std::uint64_t{1} << 48) - 1);
                     sliceQueue[d.output].push_back(
                         SliceReq{line, sm, is_write});
+                    noteSliceState(d.output);
                 }
-                for (unsigned s = 0; s < cfg.llcSlices; ++s)
-                    sliceTick(s);
+                // Slices with nothing queued have nothing to do.
+                sliceWork.findIf([&](std::size_t s) {
+                    sliceTick(static_cast<unsigned>(s));
+                    noteSliceState(static_cast<unsigned>(s));
+                    return false;
+                });
                 deliveries.clear();
                 replyNoc->tick(nocCycle, deliveries);
                 for (const NocDelivery &d : deliveries)

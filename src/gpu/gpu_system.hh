@@ -20,12 +20,19 @@
  * and reports the full RunResult including Micron DRAM power and
  * GPUWattch-style system power.
  *
- * The cycle loop skips work that cannot change anything: an SM whose
- * warps are all waiting or not yet ready sleeps until its `wakeAt`
- * cycle (reset whenever a warp finishes an instruction or a TB is
- * dispatched). The memory controller and crossbar keep their own
- * per-bank and per-output bookkeeping (see their headers). All of it
- * is exact; DESIGN.md "Cycle-loop scheduling" says why.
+ * The cycle loop visits only components that can act:
+ *  - an SM whose warps are all waiting or not yet ready sleeps until
+ *    its `wakeAt` cycle (reset whenever a warp finishes an
+ *    instruction or a TB is dispatched), and its GTO pick walks only
+ *    the candidate-warp mask (active, not waiting; any warp count);
+ *  - an LSU or LLC-slice head that could not go on is not retried
+ *    until its cause changes: a fill into that cache when its MSHRs
+ *    were full, room in the queue it feeds otherwise;
+ *  - only slices with queued work tick, and the busy-slice count the
+ *    Fig. 14a sample reads is kept up to date where it changes.
+ * The memory controller, crossbar and caches keep their own per-bank,
+ * per-output and MSHR bookkeeping (see their headers). All of it is
+ * exact; DESIGN.md "Cycle-loop scheduling" says why.
  */
 
 #ifndef VALLEY_GPU_GPU_SYSTEM_HH
@@ -34,6 +41,7 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
+#include "common/bit_mask.hh"
 #include "common/ring_buffer.hh"
 #include "dram/dram_system.hh"
 #include "gpu/run_result.hh"
@@ -83,16 +91,36 @@ class GpuSystem
         bool write;
     };
 
+    /** Why a queue head could not go on, and so what must change
+     *  before retrying it can succeed. */
+    enum class Blocked : std::uint8_t
+    {
+        No,   ///< retry every tick
+        Mshr, ///< MSHR table full: wait for a fill into this cache
+        Link, ///< output queue full: retry once it has room
+    };
+
     struct Sm
     {
         std::vector<TbSlot> tbSlots;
         std::vector<WarpRt> warps;
+        /** Warps that are `active && !waiting` (issue candidates). */
+        BitMask candidates;
         RingBuffer<LineReq> lsu;
         std::vector<unsigned> lastIssued; ///< per scheduler
         unsigned activeTbs = 0;
         /** No warp can issue before this cycle unless one changes
          *  state (instruction done, TB dispatch), which resets it. */
         Cycle wakeAt = 0;
+        /** LSU head state: Link = request-NoC input full. */
+        Blocked lsuBlocked = Blocked::No;
+    };
+
+    /** LLC slice input head state: Link = `blockedChannel` full. */
+    struct SliceGate
+    {
+        Blocked blocked = Blocked::No;
+        unsigned blockedChannel = 0;
     };
 
     struct SliceReq
@@ -135,6 +163,9 @@ class GpuSystem
     void lineDone(unsigned gid);
     void warpInstrDone(unsigned gid);
     void sliceTick(unsigned slice);
+    /** Recompute `slice`'s bit in `sliceWork` and `sliceBusy`; called
+     *  wherever its queues or LLC MSHRs change. */
+    void noteSliceState(unsigned slice);
     void handleDramCompletions();
     void deliverReply(unsigned sm, Addr line);
     void sampleMetrics();
@@ -147,9 +178,19 @@ class GpuSystem
 
     // ---- per-run state -------------------------------------------------
     std::vector<Sm> sms;
+    /** Per scheduler: the warp slots it owns (w % schedulersPerSm). */
+    std::vector<BitMask> schedulerWarps;
     std::vector<SetAssocCache> l1s;
     std::vector<SetAssocCache> llc;
     std::vector<RingBuffer<SliceReq>> sliceQueue;
+    std::vector<SliceGate> sliceGate;
+    /** Slices with a queued request, stalled reply or writeback: the
+     *  ones `sliceTick` can act on. */
+    BitMask sliceWork;
+    /** Per slice: a queued request or reply, or an LLC MSHR in use
+     *  (the Fig. 14a "busy" test); `busySlices` counts them. */
+    BitMask sliceBusy;
+    unsigned busySlices = 0;
     std::vector<RingBuffer<DramRequest>> pendingWritebacks;
     std::vector<RingBuffer<std::pair<unsigned, Addr>>> stalledReplies;
     std::unique_ptr<Crossbar> reqNoc;

@@ -19,15 +19,22 @@
  * served in ascending order, so an input whose head was just taken
  * can send its next packet to a higher-numbered output in the same
  * tick.
+ *
+ * Two masks over the outputs, `wanted` (some head targets it) and
+ * `busy` (mid-transfer), let a tick visit only busy outputs to finish
+ * transfers and only wanted, free outputs to arbitrate; the walk
+ * reads them live, so the same-tick rule above still holds. Input
+ * queues are flat ring buffers.
  */
 
 #ifndef VALLEY_NOC_CROSSBAR_HH
 #define VALLEY_NOC_CROSSBAR_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/bit_mask.hh"
+#include "common/ring_buffer.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -110,7 +117,6 @@ class Crossbar
     struct OutputPort
     {
         Cycle busyUntil = 0;
-        bool transferring = false;
         Packet current{};
     };
 
@@ -124,10 +130,12 @@ class Crossbar
     unsigned channelBytes;
     unsigned queueDepth;
     unsigned maskWords; ///< 64-bit words per output mask
-    std::vector<std::deque<Packet>> inQueue;
+    std::vector<RingBuffer<Packet>> inQueue;
     std::vector<OutputPort> outPort;
     /** Output o's mask is words [o*maskWords, (o+1)*maskWords). */
     std::vector<std::uint64_t> headMask;
+    BitMask wanted; ///< outputs whose head mask is not empty
+    BitMask busy;   ///< outputs mid-transfer
     unsigned rrPointer = 0;
     unsigned queued = 0;       ///< packets in input queues
     unsigned transferring = 0; ///< output ports mid-transfer

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for common/bitops.hh.
+ * Unit tests for common/bitops.hh and common/bit_mask.hh.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/bit_mask.hh"
 #include "common/bitops.hh"
 #include "common/rng.hh"
 
@@ -318,4 +319,72 @@ TEST(SimdDispatch, XorPopcountEachMatchesScalar)
             ASSERT_EQ(alias, d1) << ops->name << " alias n=" << n;
             ASSERT_EQ(c2, c1) << ops->name << " alias n=" << n;
         }
+}
+
+TEST(BitMask, MatchesVectorOfBoolAcrossWordBoundaries)
+{
+    // Random set/reset against a std::vector<bool> model on sizes on
+    // both sides of one and two words; every query must agree.
+    for (std::size_t n : {1u, 63u, 64u, 65u, 128u, 130u}) {
+        XorShiftRng rng(n);
+        BitMask a(n), b(n);
+        std::vector<bool> ma(n), mb(n);
+        for (unsigned step = 0; step < 400; ++step) {
+            const std::size_t i = rng.below(n);
+            const bool on = rng.chance(2, 3);
+            BitMask &m = rng.chance(1, 2) ? a : b;
+            std::vector<bool> &model = &m == &a ? ma : mb;
+            on ? m.set(i) : m.reset(i);
+            model[i] = on;
+
+            std::vector<std::size_t> want_a, want_both;
+            for (std::size_t k = 0; k < n; ++k) {
+                ASSERT_EQ(a.test(k), ma[k]) << n << " bit " << k;
+                if (ma[k])
+                    want_a.push_back(k);
+                if (ma[k] && mb[k])
+                    want_both.push_back(k);
+            }
+            EXPECT_FALSE(a.test(n + 64)); // out of range reads as clear
+
+            std::vector<std::size_t> got;
+            a.findIf([&](std::size_t k) {
+                got.push_back(k);
+                return false;
+            });
+            ASSERT_EQ(got, want_a) << n;
+            got.clear();
+            BitMask::findIfBoth(a, b, [&](std::size_t k) {
+                got.push_back(k);
+                return false;
+            });
+            ASSERT_EQ(got, want_both) << n;
+
+            // firstAndNot from every start, including past the end.
+            for (std::size_t from = 0; from <= n + 1; ++from) {
+                std::size_t want = BitMask::npos;
+                for (std::size_t k = from; k < n; ++k)
+                    if (ma[k] && !mb[k]) {
+                        want = k;
+                        break;
+                    }
+                ASSERT_EQ(BitMask::firstAndNot(a, b, from), want)
+                    << n << " from " << from;
+            }
+        }
+    }
+}
+
+TEST(BitMask, FindIfStopsAtFirstTrue)
+{
+    BitMask m(100);
+    for (std::size_t i : {3u, 64u, 70u, 99u})
+        m.set(i);
+    std::vector<std::size_t> seen;
+    EXPECT_TRUE(m.findIf([&](std::size_t i) {
+        seen.push_back(i);
+        return i >= 64;
+    }));
+    EXPECT_EQ(seen, (std::vector<std::size_t>{3, 64}));
+    EXPECT_FALSE(m.findIf([](std::size_t) { return false; }));
 }

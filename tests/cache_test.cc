@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "cache/set_assoc_cache.hh"
+#include "common/rng.hh"
 
 using namespace valley;
 
@@ -199,4 +203,75 @@ TEST(SetAssocCache, FillWithoutMshrInstallsLine)
     const auto waiters = c.fill(0x4000, ev);
     EXPECT_TRUE(waiters.empty());
     EXPECT_TRUE(c.contains(0x4000));
+}
+
+TEST(SetAssocCache, MshrTableMatchesMapModelOnRandomTraffic)
+{
+    // The MSHR table against a std::map of line -> waiters. Tag state
+    // is not under test: the model asks the cache whether a line is
+    // present before each access. Random reads, allocating writes and
+    // fills over 48 lines keep the table full for long stretches,
+    // so stalls, merges, fills of lines without an MSHR and slot reuse
+    // after a fill all occur.
+    struct Entry
+    {
+        std::vector<std::uint64_t> waiters;
+        bool write = false;
+    };
+    constexpr unsigned kLines = 48; // 6x what the 8-line cache holds
+    for (std::uint32_t entries : {4u, 8u}) {
+        CacheConfig cfg = tinyCache(/*write_allocate=*/true);
+        cfg.mshrEntries = entries;
+        SetAssocCache c(cfg);
+        std::map<Addr, Entry> model;
+        std::uint64_t stalls = 0, merges = 0, misses = 0, empty_fills = 0;
+        XorShiftRng rng(entries);
+        std::uint64_t waiter = 1;
+        for (unsigned step = 0; step < 20000; ++step) {
+            const Addr line = Addr{rng.below(kLines)} * 128;
+            if (rng.chance(1, 4)) {
+                CacheAccessResult ev;
+                const auto it = model.find(line);
+                const std::vector<std::uint64_t> want =
+                    it == model.end() ? std::vector<std::uint64_t>{}
+                                      : it->second.waiters;
+                empty_fills += want.empty();
+                ASSERT_EQ(c.fill(line, ev), want) << step;
+                if (it != model.end())
+                    model.erase(it);
+            } else {
+                const bool write = rng.chance(1, 4);
+                const bool present = c.contains(line);
+                const CacheAccessResult r = c.access(line, write, waiter);
+                Kind want = Kind::Hit;
+                if (!present) {
+                    if (auto it = model.find(line); it != model.end()) {
+                        it->second.waiters.push_back(waiter);
+                        it->second.write |= write;
+                        want = Kind::MergedMiss;
+                        ++merges;
+                    } else if (model.size() >= entries) {
+                        want = Kind::Stall;
+                        ++stalls;
+                    } else {
+                        model[line] = Entry{{waiter}, write};
+                        want = Kind::Miss;
+                        ++misses;
+                    }
+                }
+                ASSERT_EQ(r.kind, want) << step;
+                ++waiter;
+            }
+            ASSERT_EQ(c.mshrInUse(), model.size()) << step;
+            ASSERT_EQ(c.mshrAvailable(), model.size() < entries) << step;
+            for (Addr l = 0; l < kLines * 128; l += 128)
+                ASSERT_EQ(c.mshrPending(l), model.count(l) != 0) << step;
+        }
+        EXPECT_EQ(c.stats().mshrStalls, stalls);
+        EXPECT_EQ(c.stats().mshrMerges, merges);
+        EXPECT_EQ(c.stats().misses, misses);
+        EXPECT_GT(stalls, 0u);
+        EXPECT_GT(merges, 0u);
+        EXPECT_GT(empty_fills, 0u);
+    }
 }

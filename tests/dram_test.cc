@@ -555,58 +555,98 @@ TEST(MemoryController, StarvedConflictPrechargesPastQueuedHits)
     }
 }
 
+namespace {
+
+/**
+ * Random enqueue/tick sequences. Each bank has a hot row that most
+ * requests hit and that moves now and then, so row conflicts, rows
+ * held open for queued hits and starvation all occur. With more than
+ * 64 banks half the traffic goes to banks 62-65, so banks on both
+ * sides of a mask-word boundary see conflicts. After every tick the
+ * controller must agree with the rescanning oracle on completions,
+ * statistics, pending() and banksWithPending(). Adds the number of
+ * starvation overrides the oracle took to `overrides`.
+ */
+void
+checkAgainstReference(std::uint64_t seed, unsigned banks,
+                      unsigned capacity, unsigned &overrides)
+{
+    XorShiftRng rng(seed);
+    MemoryController mc(banks, fastTiming(), capacity);
+    ReferenceController ref(banks, fastTiming(), capacity);
+    std::vector<unsigned> hot(banks, 0);
+    std::vector<DramCompletion> got, want;
+    std::uint64_t tag = 0;
+    for (Cycle c = 0; c < 12000; ++c) {
+        // Saturated phases alternate with drain phases.
+        const bool burst = (c / 3000) % 2 == 0;
+        const unsigned arrivals =
+            burst ? static_cast<unsigned>(rng.below(3))
+                  : rng.chance(1, 8);
+        if (rng.chance(1, 700))
+            hot[rng.below(banks)] = static_cast<unsigned>(rng.below(4));
+        for (unsigned k = 0; k < arrivals; ++k) {
+            DramRequest r;
+            const unsigned bank =
+                banks > 64 && rng.chance(1, 2)
+                    ? 62 + static_cast<unsigned>(rng.below(4))
+                    : static_cast<unsigned>(rng.below(banks));
+            const unsigned row =
+                rng.chance(1, 12) ? static_cast<unsigned>(rng.below(4))
+                                  : hot[bank];
+            r.coord = DramCoord{0, bank, row, 0};
+            r.write = rng.chance(1, 4);
+            r.tag = tag++;
+            ASSERT_EQ(mc.enqueue(r, c), ref.enqueue(r, c)) << c;
+        }
+        mc.tick(c, got);
+        ref.tick(c, want);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " @" << c;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].tag, want[i].tag) << c;
+            ASSERT_EQ(got[i].finished, want[i].finished) << c;
+        }
+        ASSERT_TRUE(mc.stats() == ref.stats) << "seed " << seed << " @" << c;
+        ASSERT_EQ(mc.pending(), ref.pending()) << c;
+        ASSERT_EQ(mc.banksWithPending(), ref.banksWithPending()) << c;
+    }
+    overrides += ref.starvationOverrides;
+}
+
+} // namespace
+
 TEST(MemoryController, MatchesRescanningReferenceOnRandomTraffic)
 {
-    // Random enqueue/tick sequences. Each bank has a hot row that most
-    // requests hit and that moves now and then, so row conflicts,
-    // rows held open for queued hits and starvation all occur. After
-    // every tick the controller must agree with the rescanning oracle
-    // on completions, statistics, pending() and banksWithPending().
     unsigned overrides = 0;
     for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-        XorShiftRng rng(seed);
-        const unsigned banks = 2 + static_cast<unsigned>(seed % 3);
-        const unsigned capacity = seed % 2 ? 64 : 16;
-        MemoryController mc(banks, fastTiming(), capacity);
-        ReferenceController ref(banks, fastTiming(), capacity);
-        std::vector<unsigned> hot(banks, 0);
-        std::vector<DramCompletion> got, want;
-        std::uint64_t tag = 0;
-        for (Cycle c = 0; c < 12000; ++c) {
-            // Saturated phases alternate with drain phases.
-            const bool burst = (c / 3000) % 2 == 0;
-            const unsigned arrivals =
-                burst ? static_cast<unsigned>(rng.below(3))
-                      : rng.chance(1, 8);
-            if (rng.chance(1, 700))
-                hot[rng.below(banks)] = static_cast<unsigned>(rng.below(4));
-            for (unsigned k = 0; k < arrivals; ++k) {
-                DramRequest r;
-                const unsigned bank =
-                    static_cast<unsigned>(rng.below(banks));
-                const unsigned row =
-                    rng.chance(1, 12) ? static_cast<unsigned>(rng.below(4))
-                                      : hot[bank];
-                r.coord = DramCoord{0, bank, row, 0};
-                r.write = rng.chance(1, 4);
-                r.tag = tag++;
-                ASSERT_EQ(mc.enqueue(r, c), ref.enqueue(r, c)) << c;
-            }
-            mc.tick(c, got);
-            ref.tick(c, want);
-            ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " @" << c;
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                ASSERT_EQ(got[i].tag, want[i].tag) << c;
-                ASSERT_EQ(got[i].finished, want[i].finished) << c;
-            }
-            ASSERT_TRUE(mc.stats() == ref.stats) << "seed " << seed << " @" << c;
-            ASSERT_EQ(mc.pending(), ref.pending()) << c;
-            ASSERT_EQ(mc.banksWithPending(), ref.banksWithPending()) << c;
-        }
-        overrides += ref.starvationOverrides;
+        checkAgainstReference(seed, 2 + static_cast<unsigned>(seed % 3),
+                              seed % 2 ? 64 : 16, overrides);
+        ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
     }
     // The starvation rule actually fired somewhere in the sequences.
     EXPECT_GT(overrides, 0u);
+}
+
+TEST(MemoryController, MatchesReferenceWithMultiWordBankMasks)
+{
+    // 96 banks: the queued and hit masks span two words.
+    unsigned overrides = 0;
+    for (std::uint64_t seed : {5ull, 6ull}) {
+        checkAgainstReference(seed, 96, 64, overrides);
+        ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+    }
+    EXPECT_GT(overrides, 0u);
+}
+
+TEST(MemoryController, MatchesReferenceWithQueueCapacityOne)
+{
+    // Every enqueue but one per column access bounces; the masks go
+    // from empty to one bit and back on nearly every command.
+    unsigned overrides = 0;
+    for (std::uint64_t seed : {7ull, 8ull}) {
+        checkAgainstReference(seed, 4, 1, overrides);
+        ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+    }
 }
 
 TEST(DramSystem, BusyCountsMatchRecountOnRandomTraffic)

@@ -6,8 +6,11 @@
  *
  * The cells cover machine shapes the repository benchmark does not:
  * 24 and 48 SMs, the 64-SM / 64-vault 3D-stacked machine (a 64-input
- * crossbar), every `layout:` preset, synthetic specs and the six
- * paper schemes. Any change to the simulator's output fails here.
+ * crossbar), an SM with 96 warp slots and a channel with 128 banks
+ * (more than one 64-bit word of warp or bank bookkeeping), every
+ * `layout:` preset, synthetic specs, the six paper schemes and all 16
+ * Table II workloads. Any change to the simulator's output fails
+ * here.
  *
  * Regenerating the file is an explicit step, taken only after a
  * deliberate model change:
@@ -26,6 +29,7 @@
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
 #include "mapping/layout_registry.hh"
+#include "workloads/workload.hh"
 
 using namespace valley;
 
@@ -72,6 +76,32 @@ goldenCells()
     for (const char *m : {"map:base", "map:pm", "map:rmp", "map:pae",
                           "map:fae", "map:all"})
         cells.push_back({std::string("scheme/") + m, base, m, "NW",
+                         0.05});
+
+    for (const std::string &w : workloads::allSet())
+        cells.push_back({"table2/" + w, base, "map:base", w, 0.02});
+
+    // 96 warp slots per SM, all of them filled (64 MT thread blocks
+    // of 8 warps over 4 SMs): the warp bookkeeping spans two words.
+    SimConfig wide = base;
+    wide.numSms = 4;
+    wide.maxWarpsPerSm = 96;
+    wide.maxThreadsPerSm = 96 * 32;
+    wide.maxTbsPerSm = 16;
+    for (const char *m : {"map:base", "map:pae"})
+        cells.push_back({std::string("warps96/") + m, wide, m, "MT",
+                         0.05});
+
+    // 128 banks per channel: the GDDR5 fields with a 7-bit bank field
+    // (3 bits taken from the row). Bank bookkeeping spans two words.
+    using K = mapping::FieldKind;
+    SimConfig deep = base;
+    deep.layout = mapping::layoutFromOrganization(
+        {"banks128", "GDDR5, 128 banks", "",
+         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Bank, 7},
+          {K::ColHi, 4}, {K::Row, 9}}});
+    for (const char *m : {"map:base", "map:pae"})
+        cells.push_back({std::string("banks128/") + m, deep, m, "MT",
                          0.05});
     return cells;
 }

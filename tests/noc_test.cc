@@ -303,12 +303,34 @@ TEST(Crossbar, WideCrossbarServesAllInputsRoundRobin)
     EXPECT_EQ(xb.pending(), 0u);
 }
 
+TEST(Crossbar, SixtyFourInputsWrapWithinOneMaskWord)
+{
+    // 64 inputs fill exactly one mask word, the largest crossbar on
+    // the one-word pick. Inputs 0 and 63 (the top bit) each queue
+    // three 1-flit packets to output 0, which grants one packet per
+    // tick to the first queued input at or after the pointer (t-1 at
+    // tick t). Once the pointer has passed 0, input 63 wins until it
+    // drains; the pointer then points past every queued input, and the
+    // grant wraps to input 0 in the low bits of the same word.
+    Crossbar xb(64, 4, 32, 3);
+    for (unsigned k = 0; k < 3; ++k)
+        for (unsigned in : {0u, 63u})
+            ASSERT_TRUE(xb.inject(in, 0, 32, in, 0));
+    const auto done = run(xb, 1, 6, 200);
+    const std::uint64_t want[] = {0, 63, 63, 63, 0, 0};
+    ASSERT_EQ(done.size(), 6u);
+    for (std::size_t i = 0; i < done.size(); ++i)
+        EXPECT_EQ(done[i].tag, want[i]) << "delivery " << i;
+    EXPECT_EQ(xb.pending(), 0u);
+}
+
 TEST(Crossbar, MatchesScanningReferenceOnRandomTraffic)
 {
-    // Random injections on shapes with one, two and three mask words;
-    // deliveries must equal the scanning oracle's every tick.
-    const unsigned shapes[][2] = {{12, 8}, {8, 12}, {64, 64},
-                                  {96, 8}, {130, 5}};
+    // Random injections on shapes with one, two and three mask words,
+    // and on both sides of the one-word boundary; deliveries must
+    // equal the scanning oracle's every tick.
+    const unsigned shapes[][2] = {{12, 8}, {8, 12}, {64, 64}, {64, 8},
+                                  {65, 8}, {96, 8},  {130, 5}};
     for (const auto &shape : shapes) {
         const unsigned ins = shape[0], outs = shape[1];
         Crossbar xb(ins, outs, 32, 4);
