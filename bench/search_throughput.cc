@@ -23,10 +23,9 @@
  *  - **cached** (headline `evaluations_per_second`): SIMD kernels
  *    plus the incremental plane cache.
  *
- * A fourth leg times `rowEntropyBatch` against a per-row loop over
- * the same masks, and the joint-vs-independent comparison that used
- * to live in perf_snapshot is carried over with its `joint_*` fields,
- * including the `joint_deterministic` re-run check CI asserts on.
+ * The joint-vs-independent comparison that used to live in
+ * perf_snapshot is carried over with its `joint_*` fields, including
+ * the `joint_deterministic` re-run check CI asserts on.
  * Exit code is non-zero on any identity failure.
  */
 
@@ -271,8 +270,8 @@ main()
 
     bool ok = true;
 
-    // Fixed candidate-row mask set shared by the legacy and batch
-    // legs (nonzero masks under the PAE candidate restriction).
+    // Fixed candidate-row mask set for the legacy leg (nonzero masks
+    // under the PAE candidate restriction).
     const std::uint64_t cmask =
         layout.pageMask() & bits::mask(layout.addrBits);
     XorShiftRng mask_rng(7);
@@ -394,6 +393,10 @@ main()
                    cached.result.stats.planeXors);
         json.field(std::string(tag) + "plane_rebuilds",
                    cached.result.stats.planeRebuilds);
+        json.field(std::string(tag) + "memo_hits",
+                   cached.result.stats.memoHits);
+        json.field(std::string(tag) + "kernels_skipped",
+                   cached.result.stats.kernelsSkipped);
 
         std::printf(
             "scale %.2f (%.1f MiB planes): legacy %.0f evals/s, "
@@ -406,45 +409,6 @@ main()
             legacy_identical && simd_identical && cached_identical
                 ? "yes"
                 : "NO");
-    }
-
-    // ---- batched scoring vs a per-row rowEntropy loop ---------------------
-    {
-        const auto wls = jset.build(small_scale);
-        const search::TracePlanes planes(
-            *wls.front(),
-            search::PlaneOptions{layout.addrBits, 1, false});
-        const search::SearchOptions so =
-            search::defaultOptions(layout);
-
-        constexpr int kReps = 8;
-        auto start = Clock::now();
-        std::vector<double> per_row(kMasks);
-        for (int r = 0; r < kReps; ++r)
-            for (std::size_t i = 0; i < kMasks; ++i)
-                per_row[i] = planes.rowEntropy(masks[i], so.window,
-                                               so.metric);
-        const double row_sec = secondsSince(start);
-
-        start = Clock::now();
-        std::vector<double> batched;
-        for (int r = 0; r < kReps; ++r)
-            batched = planes.rowEntropyBatch(masks, so.window,
-                                             so.metric);
-        const double batch_sec = secondsSince(start);
-
-        const bool batch_identical = batched == per_row;
-        ok = ok && batch_identical;
-        const double batch_speedup =
-            batch_sec > 0.0 ? row_sec / batch_sec : 0.0;
-        json.field("batch_masks",
-                   static_cast<std::uint64_t>(kMasks));
-        json.field("batch_speedup", batch_speedup);
-        json.field("batch_identical", batch_identical);
-        std::printf("rowEntropyBatch: %zu masks, per-row %.3fs, "
-                    "batched %.3fs (%.1fx), identical=%s\n\n",
-                    kMasks, row_sec, batch_sec, batch_speedup,
-                    batch_identical ? "yes" : "NO");
     }
 
     // ---- joint search vs N independent searches ---------------------------
@@ -520,9 +484,9 @@ main()
     }
 
     // Registry attribution: search.evals_per_sec / search.plane_*
-    // counters and the search.plane_bytes gauge (zero here — every
+    // counters, the search.plane_bytes gauge (zero here — every
     // TracePlanes above has been destroyed, so a leak shows up as a
-    // nonzero residue).
+    // nonzero residue) and its high-water search.plane_bytes_peak.
     json.rawField("metrics", metrics::snapshotJson(1));
 
     std::printf("\nheadline: %.0f evaluations/sec (small scale, "

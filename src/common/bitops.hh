@@ -168,13 +168,12 @@ struct SimdOps
                                    std::size_t n);
 
     /**
-     * dst[i] = a[i] ^ b[i] for i in [0, n); returns the popcount of
-     * the combined words. `dst` may alias `a` or `b`. The fused
-     * "score one incremental plane move" kernel.
+     * Popcount of `a[i] ^ b[i]` over i in [0, n), nothing stored —
+     * the write-free "score one incremental plane move" kernel.
      */
     std::uint64_t (*xorPopcount2)(const std::uint64_t *a,
                                   const std::uint64_t *b,
-                                  std::uint64_t *dst, std::size_t n);
+                                  std::size_t n);
 
     /**
      * XOR-combine `nsrc` equal-length word runs; returns the popcount
@@ -187,14 +186,14 @@ struct SimdOps
                                   std::size_t n);
 
     /**
-     * dst[i] = a[i] ^ b[i] and counts[i] = popcount(dst[i]) for i in
-     * [0, n) — per-word one-counts instead of a total. `dst` may
-     * alias `a` or `b`. The "incremental move over a uniform
-     * one-word-per-TB kernel" kernel: each word is one TB's 64-request
-     * lane, so `counts` lands directly in the per-TB ones array.
+     * counts[i] = popcount(a[i] ^ b[i]) for i in [0, n) — per-word
+     * one-counts instead of a total, nothing else stored. The
+     * "incremental move over a uniform one-word-per-TB kernel"
+     * kernel: each word is one TB's 64-request lane, so `counts`
+     * lands directly in the kernel's per-TB ones.
      */
     void (*xorPopcountEach)(const std::uint64_t *a,
-                            const std::uint64_t *b, std::uint64_t *dst,
+                            const std::uint64_t *b,
                             std::uint64_t *counts, std::size_t n);
 };
 

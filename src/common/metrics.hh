@@ -127,6 +127,17 @@ class Gauge
         value_.fetch_add(d, std::memory_order_relaxed);
     }
 
+    /** High-water update: `value = max(value, v)`. */
+    void
+    raiseTo(std::int64_t v) noexcept
+    {
+        std::int64_t cur = value_.load(std::memory_order_relaxed);
+        while (cur < v && !value_.compare_exchange_weak(
+                              cur, v, std::memory_order_relaxed))
+        {
+        }
+    }
+
     std::int64_t
     value() const noexcept
     {

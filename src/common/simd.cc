@@ -59,14 +59,11 @@ popcountWordsScalar(const std::uint64_t *p, std::size_t n)
 
 std::uint64_t
 xorPopcount2Scalar(const std::uint64_t *a, const std::uint64_t *b,
-                   std::uint64_t *dst, std::size_t n)
+                   std::size_t n)
 {
     std::uint64_t ones = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        ones += static_cast<std::uint64_t>(std::popcount(x));
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        ones += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     return ones;
 }
 
@@ -88,14 +85,10 @@ xorPopcountNScalar(const std::uint64_t *const *srcs, std::size_t nsrc,
 
 void
 xorPopcountEachScalar(const std::uint64_t *a, const std::uint64_t *b,
-                      std::uint64_t *dst, std::uint64_t *counts,
-                      std::size_t n)
+                      std::uint64_t *counts, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        counts[i] = static_cast<std::uint64_t>(std::popcount(x));
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        counts[i] = static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
 }
 
 constexpr SimdOps kScalarOps = {
@@ -236,7 +229,7 @@ popcountWordsAvx2(const std::uint64_t *p, std::size_t n)
 
 __attribute__((target("avx2"))) std::uint64_t
 xorPopcount2Avx2(const std::uint64_t *a, const std::uint64_t *b,
-                 std::uint64_t *dst, std::size_t n)
+                 std::size_t n)
 {
     VALLEY_POPCNT256_DECLS;
     __m256i acc = _mm256_setzero_si256();
@@ -247,15 +240,11 @@ xorPopcount2Avx2(const std::uint64_t *a, const std::uint64_t *b,
                 reinterpret_cast<const __m256i *>(a + i)),
             _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(b + i)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), x);
         VALLEY_POPCNT256(acc, x);
     }
     std::uint64_t ones = hsum256(acc);
-    for (; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        ones += static_cast<std::uint64_t>(std::popcount(x));
-    }
+    for (; i < n; ++i)
+        ones += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     return ones;
 }
 
@@ -291,8 +280,7 @@ xorPopcountNAvx2(const std::uint64_t *const *srcs, std::size_t nsrc,
 
 __attribute__((target("avx2"))) void
 xorPopcountEachAvx2(const std::uint64_t *a, const std::uint64_t *b,
-                    std::uint64_t *dst, std::uint64_t *counts,
-                    std::size_t n)
+                    std::uint64_t *counts, std::size_t n)
 {
     VALLEY_POPCNT256_DECLS;
     std::size_t i = 0;
@@ -302,7 +290,6 @@ xorPopcountEachAvx2(const std::uint64_t *a, const std::uint64_t *b,
                 reinterpret_cast<const __m256i *>(a + i)),
             _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(b + i)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), x);
         // sad_epu8 against zero sums each 8-byte group of the
         // per-byte LUT counts — exactly the four per-qword popcounts.
         const __m256i lo = _mm256_and_si256(x, nib_);
@@ -315,11 +302,8 @@ xorPopcountEachAvx2(const std::uint64_t *a, const std::uint64_t *b,
             reinterpret_cast<__m256i *>(counts + i),
             _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
     }
-    for (; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        counts[i] = static_cast<std::uint64_t>(std::popcount(x));
-    }
+    for (; i < n; ++i)
+        counts[i] = static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
 }
 
 constexpr SimdOps kAvx2Ops = {
@@ -409,22 +393,18 @@ popcountWordsAvx512(const std::uint64_t *p, std::size_t n)
 
 __attribute__((VALLEY_TARGET512)) std::uint64_t
 xorPopcount2Avx512(const std::uint64_t *a, const std::uint64_t *b,
-                   std::uint64_t *dst, std::size_t n)
+                   std::size_t n)
 {
     __m512i acc = _mm512_setzero_si512();
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(a + i),
                                            _mm512_loadu_si512(b + i));
-        _mm512_storeu_si512(dst + i, x);
         acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
     }
     std::uint64_t ones = _mm512_reduce_add_epi64(acc);
-    for (; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        ones += static_cast<std::uint64_t>(std::popcount(x));
-    }
+    for (; i < n; ++i)
+        ones += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     return ones;
 }
 
@@ -456,21 +436,16 @@ xorPopcountNAvx512(const std::uint64_t *const *srcs, std::size_t nsrc,
 
 __attribute__((VALLEY_TARGET512)) void
 xorPopcountEachAvx512(const std::uint64_t *a, const std::uint64_t *b,
-                      std::uint64_t *dst, std::uint64_t *counts,
-                      std::size_t n)
+                      std::uint64_t *counts, std::size_t n)
 {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(a + i),
                                            _mm512_loadu_si512(b + i));
-        _mm512_storeu_si512(dst + i, x);
         _mm512_storeu_si512(counts + i, _mm512_popcnt_epi64(x));
     }
-    for (; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        counts[i] = static_cast<std::uint64_t>(std::popcount(x));
-    }
+    for (; i < n; ++i)
+        counts[i] = static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
 }
 
 constexpr SimdOps kAvx512Ops = {

@@ -168,18 +168,25 @@ profileCacheResetForTesting()
 }
 
 EntropyProfile
+profileCached(const std::string &key,
+              const std::function<EntropyProfile()> &compute)
+{
+    if (auto hit = profileCacheLookup(key))
+        return *hit;
+    EntropyProfile p = compute();
+    profileCacheStore(key, p);
+    return p;
+}
+
+EntropyProfile
 profileWorkloadCached(const Workload &workload,
                       const workloads::ProfileOptions &opts,
                       double scale, const std::string &mapper_id)
 {
-    const std::string key = profileCacheKey(
-        workload.info().abbrev, mapper_id, opts.window, opts.numBits,
-        opts.metric, scale);
-    if (auto hit = profileCacheLookup(key))
-        return *hit;
-    EntropyProfile p = workloads::profileWorkload(workload, opts);
-    profileCacheStore(key, p);
-    return p;
+    return profileCached(
+        profileCacheKey(workload.info().abbrev, mapper_id, opts.window,
+                        opts.numBits, opts.metric, scale),
+        [&] { return workloads::profileWorkload(workload, opts); });
 }
 
 } // namespace harness

@@ -17,6 +17,7 @@
 #ifndef VALLEY_HARNESS_PROFILE_CACHE_HH
 #define VALLEY_HARNESS_PROFILE_CACHE_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -48,6 +49,14 @@ std::optional<EntropyProfile> profileCacheLookup(
 /** Persist a profile (no-op when caching is disabled). */
 void profileCacheStore(const std::string &key,
                        const EntropyProfile &p);
+
+/**
+ * Cache-through lookup: return the profile stored under `key`, or
+ * run `compute`, store its result under `key` and return it.
+ */
+EntropyProfile profileCached(
+    const std::string &key,
+    const std::function<EntropyProfile()> &compute);
 
 /**
  * Profile a workload through the cache: lookup by

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "common/bitops.hh"
 #include "common/fault_inject.hh"
@@ -105,6 +106,10 @@ exportStatsToRegistry(const SearchStats &s)
     metrics::counter("search.plane_toggles").add(s.planeToggles);
     metrics::counter("search.plane_xors").add(s.planeXors);
     metrics::counter("search.plane_rebuilds").add(s.planeRebuilds);
+    metrics::counter("search.memo_hits").add(s.memoHits);
+    metrics::counter("search.kernels_skipped").add(s.kernelsSkipped);
+    metrics::counter("search.accepted").add(s.accepted);
+    metrics::counter("search.rejected_singular").add(s.rejectedSingular);
     // Throughput of the finished run (last-writer-wins gauge): the
     // headline evaluations/sec the throughput bench tracks.
     if (s.totalSeconds > 0.0)
@@ -193,16 +198,13 @@ double
 BimSearch::identityCost() const
 {
     const std::size_t nt = targets_.size();
-    std::vector<std::uint64_t> masks(nt);
-    for (std::size_t i = 0; i < nt; ++i)
-        masks[i] = std::uint64_t{1} << targets_[i];
     std::vector<double> ent(nt);
     std::vector<double> member_costs(planes_.size());
     for (std::size_t m = 0; m < planes_.size(); ++m) {
-        // One fused sweep per member (bit-identical to per-row
-        // rowEntropy — see trace_planes.hh).
-        planes_[m]->rowEntropyBatch(masks, opts.window, opts.metric,
-                                    ent.data());
+        for (std::size_t i = 0; i < nt; ++i)
+            ent[i] = planes_[m]->rowEntropy(
+                std::uint64_t{1} << targets_[i], opts.window,
+                opts.metric);
         member_costs[m] = objective.memberCost(ent, 0);
     }
     return objective.combine(member_costs);
@@ -230,49 +232,63 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     // From-scratch oracle scoring (the planeCache = false path, and
     // the reference the cached path is tested against).
     const auto evalRow = [&](std::size_t m, std::uint64_t row) {
-        ++stats.evaluations;
         return planes_[m]->rowEntropy(row, opts.window, opts.metric);
     };
 
     // Incremental plane cache (SearchOptions::planeCache): for every
     // (member, target slot) the XOR-combined output plane of the
-    // current row plus its exact per-TB one-counts, and one candidate
-    // scratch row per member. Proposals derive the candidate from a
-    // cached plane in O(one plane); accepts swap the scratch row into
-    // the cache in O(1) vector swaps. One-counts are exact integers,
-    // so every entropy value equals the oracle's bit for bit.
+    // current row plus one entropy per kernel. A proposal re-scores
+    // only the kernels its move can change (trace_planes.hh) into a
+    // per-member candidate vector without writing any plane; an
+    // accept XORs the cached plane in place. One-counts are exact
+    // integers, so every entropy value equals the oracle's bit for
+    // bit.
     struct RowCache
     {
         std::vector<std::uint64_t> plane; ///< combined output plane
-        std::vector<std::uint64_t> ones;  ///< per-TB one-counts
+        std::vector<double> kent;         ///< per-kernel entropies
     };
     const bool use_cache = opts.planeCache;
-    std::vector<RowCache> cache;   // [m * nt + i], rows of cur
-    std::vector<RowCache> scratch; // [m], the proposed row
+    std::vector<RowCache> cache;           // [m * nt + i], rows of cur
+    std::vector<std::vector<double>> cand; // [m], the proposed row
     if (use_cache) {
         cache.resize(nm * nt);
-        scratch.resize(nm);
+        cand.resize(nm);
         for (std::size_t m = 0; m < nm; ++m) {
-            const std::size_t pw = planes_[m]->planeWords();
-            const std::size_t tc = planes_[m]->tbCount();
-            scratch[m].plane.resize(pw);
-            scratch[m].ones.resize(tc);
+            const std::size_t nk = planes_[m]->numKernels();
+            cand[m].resize(nk);
             for (std::size_t i = 0; i < nt; ++i) {
-                cache[m * nt + i].plane.resize(pw);
-                cache[m * nt + i].ones.resize(tc);
+                cache[m * nt + i].plane.resize(planes_[m]->planeWords());
+                cache[m * nt + i].kent.resize(nk);
             }
         }
     }
+
+    // Row-entropy memo: a row's entropy under one member is a pure
+    // function of its mask, so a chain that re-proposes a mask it
+    // already scored reads all nm values back instead of touching a
+    // plane. Chain-local, so counters never depend on the thread
+    // count; every member still counts as an evaluation.
+    std::unordered_map<std::uint64_t, std::size_t> memo;
+    std::vector<double> memo_ent; // [slot * nm + m]
+    const auto memoStore = [&](std::uint64_t row, const double *ent,
+                               std::size_t stride) {
+        if (!use_cache)
+            return;
+        if (memo.emplace(row, memo_ent.size() / nm).second)
+            for (std::size_t m = 0; m < nm; ++m)
+                memo_ent.push_back(ent[m * stride]);
+    };
 
     // (Re)combine cache slot (m, i) from scratch and score it — the
     // cache seeding path (setup and the polish reseed).
     const auto rebuildSlot = [&](std::size_t m, std::size_t i,
                                  std::uint64_t row) {
         RowCache &rc = cache[m * nt + i];
-        planes_[m]->combineRow(row, rc.plane.data(), rc.ones.data());
+        planes_[m]->combineRow(row, rc.plane.data(), rc.kent.data(),
+                               opts.window, opts.metric);
         ++stats.planeRebuilds;
-        return planes_[m]->entropyFromOnes(rc.ones.data(),
-                                           opts.window, opts.metric);
+        return planes_[m]->entropyFromKernels(rc.kent.data());
     };
 
     const auto finishChain = [&](Chain &c) {
@@ -281,18 +297,18 @@ BimSearch::runChain(unsigned restart, bool greedy) const
         c.memberCost.resize(nm);
         for (std::size_t m = 0; m < nm; ++m) {
             for (std::size_t i = 0; i < nt; ++i) {
-                if (use_cache) {
-                    ++stats.evaluations;
-                    c.ent[m * nt + i] = rebuildSlot(m, i, c.rows[i]);
-                } else {
-                    c.ent[m * nt + i] = evalRow(m, c.rows[i]);
-                }
+                ++stats.evaluations;
+                c.ent[m * nt + i] = use_cache
+                                        ? rebuildSlot(m, i, c.rows[i])
+                                        : evalRow(m, c.rows[i]);
             }
             c.memberCost[m] = objective.memberCost(
                 std::span<const double>(c.ent.data() + m * nt, nt),
                 c.gates);
         }
         c.cost = objective.combine(c.memberCost);
+        for (std::size_t i = 0; i < nt; ++i)
+            memoStore(c.rows[i], c.ent.data() + i, nt);
     };
 
     const std::string span_tag =
@@ -380,8 +396,24 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             swap_move = true;
         }
 
+        // Re-score, write-free, the kernels of member m that this move
+        // can change into `kent`: a tap toggle of bit b those with b
+        // live, a row XOR those where row j has a live bit. Returns
+        // the number of kernels computed.
+        const auto scoreMove = [&](std::size_t m, double *kent) {
+            const TracePlanes &p = *planes_[m];
+            const std::uint64_t *base = cache[m * nt + i].plane.data();
+            return kind <= 1
+                       ? p.toggleRow(base, toggle_bit, kent, opts.window,
+                                     opts.metric)
+                       : p.xorRows(base, cache[m * nt + j].plane.data(),
+                                   cur.rows[j], kent, opts.window,
+                                   opts.metric);
+        };
+
         double new_cost;
         unsigned new_gates = cur.gates;
+        const double *hit = nullptr; // memo entry of new_row, if any
         if (swap_move) {
             // Swapping two rows only permutes the output bits; rank
             // is invariant under row permutation, so no rank check is
@@ -414,29 +446,26 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 static_cast<unsigned>(std::popcount(new_row));
             new_gates = cur.gates - (old_taps > 1 ? old_taps - 1 : 0) +
                         (new_taps > 1 ? new_taps - 1 : 0);
+            // A memo hit answers every member at once; otherwise the
+            // cached path re-scores only the kernels the move can
+            // change (scoreMove), reusing the rest from row i's cache.
+            if (use_cache)
+                if (const auto it = memo.find(new_row); it != memo.end())
+                    hit = memo_ent.data() + it->second * nm;
             for (std::size_t m = 0; m < nm; ++m) {
-                if (use_cache) {
-                    // Derive the candidate plane from cached state:
-                    // a tap toggle XORs in exactly one input plane,
-                    // a row XOR combines two cached output planes.
-                    ++stats.evaluations;
-                    RowCache &base = cache[m * nt + i];
-                    RowCache &cand = scratch[m];
-                    if (kind <= 1) {
-                        planes_[m]->toggleRow(base.plane.data(),
-                                              toggle_bit,
-                                              cand.plane.data(),
-                                              cand.ones.data());
-                        ++stats.planeToggles;
-                    } else {
-                        planes_[m]->xorRows(
-                            base.plane.data(),
-                            cache[m * nt + j].plane.data(),
-                            cand.plane.data(), cand.ones.data());
-                        ++stats.planeXors;
-                    }
-                    new_ent[m] = planes_[m]->entropyFromOnes(
-                        cand.ones.data(), opts.window, opts.metric);
+                ++stats.evaluations;
+                if (hit != nullptr) {
+                    new_ent[m] = hit[m];
+                    ++stats.memoHits;
+                } else if (use_cache) {
+                    const std::vector<double> &kent =
+                        cache[m * nt + i].kent;
+                    std::copy(kent.begin(), kent.end(), cand[m].begin());
+                    stats.kernelsSkipped +=
+                        kent.size() - scoreMove(m, cand[m].data());
+                    ++(kind <= 1 ? stats.planeToggles : stats.planeXors);
+                    new_ent[m] =
+                        planes_[m]->entropyFromKernels(cand[m].data());
                 } else {
                     new_ent[m] = evalRow(m, new_row);
                 }
@@ -447,6 +476,8 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                         cur.ent.data() + m * nt, nt),
                     new_gates);
             }
+            if (hit == nullptr)
+                memoStore(new_row, new_ent.data(), 1);
             new_cost = objective.combine(mc_scratch);
         }
 
@@ -473,15 +504,29 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 for (std::size_t m = 0; m < nm; ++m)
                     std::swap(cache[m * nt + i], cache[m * nt + j]);
         } else {
-            cur.rows[i] = new_row;
-            cur.gates = new_gates;
             if (use_cache)
                 for (std::size_t m = 0; m < nm; ++m) {
-                    std::swap(cache[m * nt + i].plane,
-                              scratch[m].plane);
-                    std::swap(cache[m * nt + i].ones,
-                              scratch[m].ones);
+                    RowCache &rc = cache[m * nt + i];
+                    if (hit == nullptr) {
+                        std::swap(rc.kent, cand[m]);
+                    } else {
+                        // The memo skipped the per-kernel values:
+                        // compute the changed kernels now, so the
+                        // cache stays valid.
+                        scoreMove(m, rc.kent.data());
+                        assert(planes_[m]->entropyFromKernels(
+                                   rc.kent.data()) == new_ent[m]);
+                    }
+                    if (kind <= 1)
+                        planes_[m]->applyToggle(rc.plane.data(),
+                                                toggle_bit);
+                    else
+                        planes_[m]->applyXor(
+                            rc.plane.data(),
+                            cache[m * nt + j].plane.data(), cur.rows[j]);
                 }
+            cur.rows[i] = new_row;
+            cur.gates = new_gates;
         }
         cur.memberCost = mc_scratch;
         cur.cost = new_cost;
@@ -644,6 +689,8 @@ BimSearch::anneal() const
         total.planeToggles += s.stats.planeToggles;
         total.planeXors += s.stats.planeXors;
         total.planeRebuilds += s.stats.planeRebuilds;
+        total.memoHits += s.stats.memoHits;
+        total.kernelsSkipped += s.stats.kernelsSkipped;
     }
     out.stats = total;
     out.identityCost = identityCost();

@@ -132,7 +132,7 @@ struct SearchOptions
     std::vector<double> memberWeights;
 
     /**
-     * Hard cap on `rowEntropy` evaluations per search run — `anneal()`
+     * Hard cap on row evaluations per search run — `anneal()`
      * and `greedy()` each enforce it independently; 0 = unlimited.
      * The budget is split evenly across restarts and each chain stops
      * at the first move boundary at or past its share (the
@@ -149,16 +149,21 @@ struct SearchOptions
     unsigned threads = 0;
 
     /**
-     * Incremental output-plane caching (the PR 10 fast path): each
-     * chain keeps, per (member, target slot), the XOR-combined output
-     * plane and its per-TB one-counts, so a tap-toggle proposal XORs
-     * in exactly one input plane and a row-XOR proposal XORs two
-     * cached planes — O(one plane) instead of O(taps planes) per
-     * evaluation. One-counts are exact integers, so the cached path
-     * is bit-identical to the from-scratch `rowEntropy` oracle:
-     * trajectories, results and `SearchStats::evaluations` are
-     * unchanged with the cache on or off (asserted in
-     * `tests/bim_search_test.cc`), which is why toggling this knob
+     * Kernel-granular incremental scoring: each chain keeps, per
+     * (member, target slot), the XOR-combined output plane and one
+     * entropy value per kernel. A tap-toggle proposal re-scores only
+     * the kernels where the toggled bit is live, a row-XOR proposal
+     * only those where the other row has a live bit, each in O(one
+     * plane slice) and without writing a plane; an accept XORs the
+     * cached plane in place. A chain-local memo maps every row mask
+     * the chain has scored to its entropy under each member, so a
+     * re-proposed mask touches no plane. One-counts are exact
+     * integers and a row's entropy is a pure function of its mask,
+     * so the cached path is bit-identical to the from-scratch
+     * `rowEntropy` oracle: trajectories, results and
+     * `SearchStats::evaluations` are unchanged with the cache on or
+     * off (asserted in `tests/bim_search_test.cc` and
+     * `tests/joint_search_test.cc`), which is why toggling this knob
      * does NOT bump `kSearchVersion`. Off = score every proposal via
      * the oracle (the slow reference leg for tests and benches).
      */
@@ -189,7 +194,8 @@ struct SearchOptions
  */
 struct SearchStats
 {
-    std::uint64_t evaluations = 0;      ///< rowEntropy calls
+    /** Row scorings, one per member per scored row (memo hits too). */
+    std::uint64_t evaluations = 0;
     std::uint64_t accepted = 0;         ///< accepted moves
     std::uint64_t rejectedSingular = 0; ///< moves failing the rank check
     bool capped = false;   ///< a chain hit its maxEvaluations share
@@ -219,17 +225,24 @@ struct SearchStats
 
     /**
      * Plane-cache accounting (zero when `planeCache` is off): how
-     * each evaluation's output plane was produced. `planeToggles` /
-     * `planeXors` count O(one plane) incremental updates (per member
-     * per proposal); `planeRebuilds` counts full `combineRow`
-     * recombines — the setup scoring plus the polish-phase reseed,
-     * where the chain jumps back to its best state and the cache must
-     * be rebuilt. Rebuilds during polish re-derive already-counted
-     * entropy values, so they do not add to `evaluations`.
+     * each evaluation was produced. `planeToggles` / `planeXors`
+     * count computed incremental proposals (per member per
+     * proposal); `memoHits` counts member evaluations answered by
+     * the chain's row memo, which computed nothing — so past setup,
+     * every evaluation is exactly one of the three.
+     * `kernelsSkipped` counts the kernels a computed proposal reused
+     * from the cache because its move could not change them.
+     * `planeRebuilds` counts full `combineRow` recombines — the
+     * setup scoring plus the polish-phase reseed, where the chain
+     * jumps back to its best state and the cache must be rebuilt.
+     * Rebuilds during polish re-derive already-counted entropy
+     * values, so they do not add to `evaluations`.
      */
     std::uint64_t planeToggles = 0;
     std::uint64_t planeXors = 0;
     std::uint64_t planeRebuilds = 0;
+    std::uint64_t memoHits = 0;
+    std::uint64_t kernelsSkipped = 0;
 };
 
 /** Outcome of `BimSearch::anneal` or `BimSearch::greedy`. */

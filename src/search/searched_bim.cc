@@ -8,7 +8,6 @@
 #include "common/fnv.hh"
 #include "harness/profile_cache.hh"
 #include "search/sbim_cache.hh"
-#include "workloads/profiler.hh"
 
 namespace valley {
 namespace search {
@@ -163,15 +162,20 @@ searchSet(const workloads::WorkloadSet &set,
 
     // Identity profiles through the on-disk cache: repeated service
     // invocations (and the Fig. 5/10 benches) share the computation.
-    workloads::ProfileOptions po;
-    po.window = opts.window;
-    po.numBits = layout.addrBits;
-    po.metric = opts.metric;
-    po.threads = opts.threads;
+    // A miss scores the identity rows on the planes already built —
+    // bit-identical to profileWorkload (tests/bim_search_test.cc), and
+    // no member trace is generated twice.
+    const BitMatrix identity = BitMatrix::identity(layout.addrBits);
     out.identityProfiles.reserve(set.size());
-    for (const auto &wl : pipe.workloads)
-        out.identityProfiles.push_back(
-            harness::profileWorkloadCached(*wl, po, scale, ""));
+    for (std::size_t m = 0; m < pipe.planes.size(); ++m)
+        out.identityProfiles.push_back(harness::profileCached(
+            harness::profileCacheKey(pipe.workloads[m]->info().abbrev,
+                                     "", opts.window, layout.addrBits,
+                                     opts.metric, scale),
+            [&] {
+                return pipe.planes[m].profileFor(identity, opts.window,
+                                                 opts.metric);
+            }));
 
     out.annealed =
         cached ? cached->toResult() : pipe.searcher->anneal();
@@ -194,8 +198,8 @@ searchSet(const workloads::WorkloadSet &set,
             out.annealed.bim, opts.window, opts.metric);
         harness::profileCacheStore(
             harness::profileCacheKey(set.members()[m], mapper_id,
-                                     po.window, po.numBits, po.metric,
-                                     scale),
+                                     opts.window, layout.addrBits,
+                                     opts.metric, scale),
             p);
         out.searchedProfiles.push_back(std::move(p));
     }

@@ -90,10 +90,11 @@ struct SetSearchResult
 };
 
 /**
- * Run the full joint search pipeline over a workload set: profile
- * every member under the identity mapping through the on-disk
- * profile cache (`harness::profileWorkloadCached`; `scale` keys the
- * cache entries), build one `TracePlanes` per member, anneal a single
+ * Run the full joint search pipeline over a workload set: build one
+ * `TracePlanes` per member, profile every member under the identity
+ * mapping through the on-disk profile cache (`harness::profileCached`
+ * under the `profileWorkloadCached` key, computed on a miss from the
+ * member's planes; `scale` keys the cache entries), anneal a single
  * BIM against all of them (plus the greedy baseline), and store each
  * member's searched profile back into the profile cache under
  * `sbimMapperId(...)` so figure benches reuse them. Empty

@@ -1,8 +1,8 @@
 #include "search/trace_planes.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -124,7 +124,6 @@ TracePlanes::TracePlanes(const Workload &workload,
     // copied, so the transient overhead shrinks TB by TB.
     for (std::size_t ki = 0; ki < ks.size(); ++ki) {
         KernelPlanes &k = kernels[ki];
-        k.tbBase = tb_count;
         k.rowBase = plane_words;
         k.tbs.resize(staged[ki].size());
         k.uniform = !k.tbs.empty();
@@ -143,32 +142,43 @@ TracePlanes::TracePlanes(const Workload &workload,
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
             TbStage &s = staged[ki][t];
             const std::size_t lo = k.tbs[t].rowOff - k.rowBase;
+            // copy_n, not memcpy: an empty kernel's arena has a null
+            // data() and copying zero words must stay defined.
             for (unsigned b = 0; b < nbits; ++b)
-                std::memcpy(
-                    k.arena.data() +
-                        static_cast<std::size_t>(b) * k.kwords + lo,
-                    s.bits.data() +
-                        static_cast<std::size_t>(b) * s.words,
-                    s.words * sizeof(std::uint64_t));
+                std::copy_n(s.bits.data() +
+                                static_cast<std::size_t>(b) * s.words,
+                            s.words,
+                            k.arena.data() +
+                                static_cast<std::size_t>(b) * k.kwords +
+                                lo);
             std::vector<std::uint64_t>().swap(s.bits);
         }
-        tb_count += k.tbs.size();
+        // A strip with no one bit contributes nothing to any row that
+        // taps it, so the kernel's output depends only on the live
+        // bits of a row (pad lanes are zero: the mask is exact).
+        for (unsigned b = 0; b < nbits; ++b) {
+            const std::uint64_t *strip =
+                k.arena.data() + static_cast<std::size_t>(b) * k.kwords;
+            if (std::any_of(strip, strip + k.kwords,
+                            [](std::uint64_t w) { return w != 0; }))
+                k.live |= std::uint64_t{1} << b;
+        }
         requests_ += k.requests;
     }
 
-    metrics::gauge("search.plane_bytes")
-        .add(static_cast<std::int64_t>(planeBytes()));
+    metrics::Gauge &resident = metrics::gauge("search.plane_bytes");
+    resident.add(static_cast<std::int64_t>(planeBytes()));
+    metrics::gauge("search.plane_bytes_peak").raiseTo(resident.value());
 }
 
 TracePlanes::TracePlanes(TracePlanes &&other) noexcept
     : nbits(other.nbits), requests_(other.requests_),
-      tb_count(other.tb_count), plane_words(other.plane_words),
+      plane_words(other.plane_words),
       ops(other.ops), kernels(std::move(other.kernels))
 {
     // The arena merely changed owner; the resident-bytes gauge is
     // unchanged, and the moved-from side must no longer subtract.
     other.kernels.clear();
-    other.tb_count = 0;
     other.plane_words = 0;
     other.requests_ = 0;
 }
@@ -180,12 +190,10 @@ TracePlanes::operator=(TracePlanes &&other) noexcept
         releaseGauge();
         nbits = other.nbits;
         requests_ = other.requests_;
-        tb_count = other.tb_count;
         plane_words = other.plane_words;
         ops = other.ops;
         kernels = std::move(other.kernels);
         other.kernels.clear();
-        other.tb_count = 0;
         other.plane_words = 0;
         other.requests_ = 0;
     }
@@ -254,193 +262,208 @@ foldOneWord(const std::uint64_t *arena, std::size_t local_off,
     return x;
 }
 
+/**
+ * Per-TB one-count scratch, one kernel at a time. Thread-local: the
+ * scoring entry points run once per candidate evaluation, where a
+ * heap allocation would rival the popcounts themselves.
+ */
+std::uint64_t *
+onesScratch(std::size_t tbs)
+{
+    static thread_local std::vector<std::uint64_t> ones;
+    if (ones.size() < tbs)
+        ones.resize(tbs);
+    return ones.data();
+}
+
 } // namespace
 
 void
-TracePlanes::combineRow(std::uint64_t row_mask, std::uint64_t *plane,
-                        std::uint64_t *ones) const
+TracePlanes::kernelRowOnes(const KernelPlanes &k, std::uint64_t row_mask,
+                           std::uint64_t *plane,
+                           std::uint64_t *ones) const
 {
-    assert((row_mask & ~bits::mask(nbits)) == 0 &&
-           "row taps must be tracked bits");
     const std::uint64_t *srcs[64];
-    for (const KernelPlanes &k : kernels) {
-        const std::uint64_t *arena = k.arena.data();
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            const std::size_t lo = v.rowOff - k.rowBase;
-            if (v.words == 1) {
-                const std::uint64_t x =
-                    foldOneWord(arena, lo, k.kwords, row_mask);
-                plane[v.rowOff] = x;
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(x));
-                continue;
-            }
-            const std::size_t nsrc =
-                gatherTaps(arena, lo, k.kwords, row_mask, srcs);
-            ones[k.tbBase + t] = ops->xorPopcountN(
-                srcs, nsrc, plane + v.rowOff, v.words);
+    const std::uint64_t *arena = k.arena.data();
+    for (std::size_t t = 0; t < k.tbs.size(); ++t) {
+        const TbView &v = k.tbs[t];
+        const std::size_t lo = v.rowOff - k.rowBase;
+        if (v.words == 1) {
+            const std::uint64_t x =
+                foldOneWord(arena, lo, k.kwords, row_mask);
+            if (plane != nullptr)
+                plane[lo] = x;
+            ones[t] = static_cast<std::uint64_t>(std::popcount(x));
+            continue;
         }
+        const std::size_t nsrc =
+            gatherTaps(arena, lo, k.kwords, row_mask, srcs);
+        ones[t] = ops->xorPopcountN(
+            srcs, nsrc, plane != nullptr ? plane + lo : nullptr,
+            v.words);
     }
 }
 
 void
-TracePlanes::toggleRow(const std::uint64_t *base, unsigned bit,
-                       std::uint64_t *dst, std::uint64_t *ones) const
+TracePlanes::kernelXorOnes(const KernelPlanes &k, const std::uint64_t *a,
+                           const std::uint64_t *b,
+                           std::uint64_t *ones) const
 {
-    assert(bit < nbits && "toggled tap must be a tracked bit");
-    for (const KernelPlanes &k : kernels) {
-        const std::uint64_t *strip =
-            k.arena.data() + static_cast<std::size_t>(bit) * k.kwords;
-        if (k.uniform) {
-            // One-word TBs: XOR the whole strip and drop the per-word
-            // popcounts straight into the per-TB ones array.
-            ops->xorPopcountEach(base + k.rowBase, strip,
-                                 dst + k.rowBase, ones + k.tbBase,
-                                 k.kwords);
-            continue;
-        }
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            const std::uint64_t *in = strip + (v.rowOff - k.rowBase);
-            if (v.words == 1) {
-                const std::uint64_t x = base[v.rowOff] ^ in[0];
-                dst[v.rowOff] = x;
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(x));
-                continue;
-            }
-            ones[k.tbBase + t] = ops->xorPopcount2(
-                base + v.rowOff, in, dst + v.rowOff, v.words);
-        }
+    if (k.uniform) {
+        // One-word TBs: the per-word popcounts are the per-TB counts.
+        ops->xorPopcountEach(a, b, ones, k.kwords);
+        return;
     }
-}
-
-void
-TracePlanes::xorRows(const std::uint64_t *a, const std::uint64_t *b,
-                     std::uint64_t *dst, std::uint64_t *ones) const
-{
-    for (const KernelPlanes &k : kernels) {
-        if (k.uniform) {
-            ops->xorPopcountEach(a + k.rowBase, b + k.rowBase,
-                                 dst + k.rowBase, ones + k.tbBase,
-                                 k.kwords);
-            continue;
-        }
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            if (v.words == 1) {
-                const std::uint64_t x = a[v.rowOff] ^ b[v.rowOff];
-                dst[v.rowOff] = x;
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(x));
-                continue;
-            }
-            ones[k.tbBase + t] = ops->xorPopcount2(
-                a + v.rowOff, b + v.rowOff, dst + v.rowOff, v.words);
-        }
+    for (std::size_t t = 0; t < k.tbs.size(); ++t) {
+        const TbView &v = k.tbs[t];
+        const std::size_t lo = v.rowOff - k.rowBase;
+        ones[t] = v.words == 1
+                      ? static_cast<std::uint64_t>(
+                            std::popcount(a[lo] ^ b[lo]))
+                      : ops->xorPopcount2(a + lo, b + lo, v.words);
     }
 }
 
 double
-TracePlanes::entropyFromOnes(const std::uint64_t *ones,
-                             unsigned window,
-                             EntropyMetric metric) const
+TracePlanes::kernelEntropy(const KernelPlanes &k,
+                           const std::uint64_t *ones, unsigned window,
+                           EntropyMetric metric)
 {
-    // Mirror profileWorkload: per-kernel window entropy of the BVR
-    // series, then EntropyProfile::combine's weighted average — same
-    // operations in the same order, so the result is bit-identical to
-    // the profiler's value for this output bit.
-    const std::uint64_t total = requests_;
-    if (total == 0)
-        return 0.0;
-
-    double combined = 0.0;
-    // Thread-local scratch: this runs once per candidate evaluation,
-    // where a heap allocation would rival the entropy math itself.
+    // Mirror profileWorkload: the per-TB BVR series, then the
+    // kernel's window entropy — same operations in the same order.
     static thread_local std::vector<double> series;
-    for (const KernelPlanes &k : kernels) {
-        series.resize(k.tbs.size());
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            series[t] = v.requests == 0
-                            ? 0.0
-                            : static_cast<double>(ones[k.tbBase + t]) /
-                                  static_cast<double>(v.requests);
-        }
-        const double e = metric == EntropyMetric::BvrDistribution
-                             ? windowEntropy(series, window)
-                             : windowBitEntropy(series, window);
-        const double w = static_cast<double>(k.requests) /
-                         static_cast<double>(total);
-        combined += w * e;
+    series.resize(k.tbs.size());
+    for (std::size_t t = 0; t < k.tbs.size(); ++t) {
+        const TbView &v = k.tbs[t];
+        series[t] = v.requests == 0
+                        ? 0.0
+                        : static_cast<double>(ones[t]) /
+                              static_cast<double>(v.requests);
     }
-    return combined;
+    return metric == EntropyMetric::BvrDistribution
+               ? windowEntropy(series, window)
+               : windowBitEntropy(series, window);
 }
 
 void
-TracePlanes::rowOnes(std::uint64_t row_mask, std::uint64_t *ones) const
+TracePlanes::combineRow(std::uint64_t row_mask, std::uint64_t *plane,
+                        double *kent, unsigned window,
+                        EntropyMetric metric) const
 {
     assert((row_mask & ~bits::mask(nbits)) == 0 &&
            "row taps must be tracked bits");
-    const std::uint64_t *srcs[64];
-    for (const KernelPlanes &k : kernels) {
-        const std::uint64_t *arena = k.arena.data();
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            const std::size_t lo = v.rowOff - k.rowBase;
-            if (v.words == 1) {
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(
-                        foldOneWord(arena, lo, k.kwords, row_mask)));
-                continue;
-            }
-            const std::size_t nsrc =
-                gatherTaps(arena, lo, k.kwords, row_mask, srcs);
-            ones[k.tbBase + t] =
-                ops->xorPopcountN(srcs, nsrc, nullptr, v.words);
-        }
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        std::uint64_t *ones = onesScratch(k.tbs.size());
+        kernelRowOnes(k, row_mask, plane + k.rowBase, ones);
+        kent[ki] = kernelEntropy(k, ones, window, metric);
     }
+}
+
+std::size_t
+TracePlanes::toggleRow(const std::uint64_t *base, unsigned bit,
+                       double *kent, unsigned window,
+                       EntropyMetric metric) const
+{
+    assert(bit < nbits && "toggled tap must be a tracked bit");
+    std::size_t computed = 0;
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        if (((k.live >> bit) & 1) == 0)
+            continue;
+        std::uint64_t *ones = onesScratch(k.tbs.size());
+        kernelXorOnes(k, base + k.rowBase,
+                      k.arena.data() +
+                          static_cast<std::size_t>(bit) * k.kwords,
+                      ones);
+        kent[ki] = kernelEntropy(k, ones, window, metric);
+        ++computed;
+    }
+    return computed;
+}
+
+std::size_t
+TracePlanes::xorRows(const std::uint64_t *a, const std::uint64_t *b,
+                     std::uint64_t b_mask, double *kent,
+                     unsigned window, EntropyMetric metric) const
+{
+    std::size_t computed = 0;
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        if ((k.live & b_mask) == 0)
+            continue;
+        std::uint64_t *ones = onesScratch(k.tbs.size());
+        kernelXorOnes(k, a + k.rowBase, b + k.rowBase, ones);
+        kent[ki] = kernelEntropy(k, ones, window, metric);
+        ++computed;
+    }
+    return computed;
+}
+
+void
+TracePlanes::applyToggle(std::uint64_t *plane, unsigned bit) const
+{
+    assert(bit < nbits && "toggled tap must be a tracked bit");
+    for (const KernelPlanes &k : kernels) {
+        if (((k.live >> bit) & 1) == 0)
+            continue;
+        const std::uint64_t *strip =
+            k.arena.data() + static_cast<std::size_t>(bit) * k.kwords;
+        std::uint64_t *dst = plane + k.rowBase;
+        for (std::size_t w = 0; w < k.kwords; ++w)
+            dst[w] ^= strip[w];
+    }
+}
+
+void
+TracePlanes::applyXor(std::uint64_t *plane, const std::uint64_t *other,
+                      std::uint64_t other_mask) const
+{
+    for (const KernelPlanes &k : kernels) {
+        if ((k.live & other_mask) == 0)
+            continue;
+        std::uint64_t *dst = plane + k.rowBase;
+        const std::uint64_t *src = other + k.rowBase;
+        for (std::size_t w = 0; w < k.kwords; ++w)
+            dst[w] ^= src[w];
+    }
+}
+
+double
+TracePlanes::entropyFromKernels(const double *kent) const
+{
+    // EntropyProfile::combine's weighted average, term by term in
+    // kernel order, so the sum is bit-identical to the profiler's
+    // value for this output bit.
+    const std::uint64_t total = requests_;
+    if (total == 0)
+        return 0.0;
+    double combined = 0.0;
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const double w = static_cast<double>(kernels[ki].requests) /
+                         static_cast<double>(total);
+        combined += w * kent[ki];
+    }
+    return combined;
 }
 
 double
 TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window,
                         EntropyMetric metric) const
 {
-    // From-scratch oracle: per-TB one-counts of the combined output
-    // plane (no plane materialized), then the shared entropy tail.
-    std::vector<std::uint64_t> ones(tb_count);
-    rowOnes(row_mask, ones.data());
-    return entropyFromOnes(ones.data(), window, metric);
-}
-
-void
-TracePlanes::rowEntropyBatch(std::span<const std::uint64_t> masks,
-                             unsigned window, EntropyMetric metric,
-                             double *out) const
-{
-    const std::size_t n = masks.size();
-    if (n == 0)
-        return;
-    // One shared one-count scratch for the whole batch: each mask
-    // sweeps the plane-major strips (sequential reads that stay hot
-    // across masks) and scores immediately — no per-candidate
-    // allocation, unlike a rowEntropy loop.
-    std::vector<std::uint64_t> ones(tb_count);
-    for (std::size_t mi = 0; mi < n; ++mi) {
-        rowOnes(masks[mi], ones.data());
-        out[mi] = entropyFromOnes(ones.data(), window, metric);
+    // From-scratch oracle: per-TB one-counts of every kernel's slice
+    // of the combined output plane (no plane materialized), then the
+    // shared entropy tail.
+    assert((row_mask & ~bits::mask(nbits)) == 0 &&
+           "row taps must be tracked bits");
+    std::vector<double> kent(kernels.size());
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        std::uint64_t *ones = onesScratch(k.tbs.size());
+        kernelRowOnes(k, row_mask, nullptr, ones);
+        kent[ki] = kernelEntropy(k, ones, window, metric);
     }
-}
-
-std::vector<double>
-TracePlanes::rowEntropyBatch(std::span<const std::uint64_t> masks,
-                             unsigned window,
-                             EntropyMetric metric) const
-{
-    std::vector<double> out(masks.size());
-    rowEntropyBatch(masks, window, metric, out.data());
-    return out;
+    return entropyFromKernels(kent.data());
 }
 
 EntropyProfile
@@ -453,10 +476,8 @@ TracePlanes::profileFor(const BitMatrix &m, unsigned window,
     EntropyProfile out;
     out.weight = requests_;
     out.perBit.resize(nbits);
-    std::vector<std::uint64_t> masks(nbits);
     for (unsigned r = 0; r < nbits; ++r)
-        masks[r] = m.row(r);
-    rowEntropyBatch(masks, window, metric, out.perBit.data());
+        out.perBit[r] = rowEntropy(m.row(r), window, metric);
     return out;
 }
 

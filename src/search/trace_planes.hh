@@ -36,16 +36,29 @@
  *
  * ## Incremental scoring
  *
- * A full candidate row is `combineRow` (XOR of all tapped planes +
- * per-TB one-counts); search move kinds then update a cached row in
- * O(one plane): `toggleRow` XORs in exactly one input plane (a
- * tap-toggle move), `xorRows` combines two cached rows (a row-XOR
- * move). One-counts are exact integers, so a cached row's
- * `entropyFromOnes` is bit-identical to `rowEntropy` recomputed from
- * scratch — the oracle path, which stays as-is. `rowEntropyBatch`
- * scores N masks over one shared one-count scratch while the strips
- * stay cache-hot — no per-candidate allocation, which is what a loop
- * of `rowEntropy` calls pays.
+ * A kernel's slice of an output plane under row `r` depends only on
+ * `r & live_k`, where `live_k` is the set of input bits whose strip
+ * has any one bit in kernel `k` (recorded at construction; pad lanes
+ * are zero, so the mask is exact). The search therefore caches, per
+ * row, the combined output plane plus one entropy value per kernel,
+ * and every move re-scores only the kernels it can change:
+ *
+ *  - `combineRow` builds a row from scratch: its plane and its
+ *    per-kernel entropies;
+ *  - `toggleRow` scores a tap toggle of input bit `b` — only kernels
+ *    with `b` in `live_k` change — and `xorRows` a row XOR with a row
+ *    `j` — only kernels where `row_j & live_k != 0` change. Both read
+ *    the cached plane and count `base ^ strip` per TB without storing
+ *    the XOR (write-free proposals);
+ *  - `applyToggle`/`applyXor` XOR the cached plane in place, changed
+ *    kernels only, once a move is accepted;
+ *  - `entropyFromKernels` re-sums `(requests_k / total) * e_k` in
+ *    kernel order.
+ *
+ * One-counts are exact integers and a kernel's entropy is a pure
+ * function of its one-counts, so every value is bit-identical to
+ * `rowEntropy` recomputed from scratch — the oracle path, which uses
+ * neither the live masks nor a cached plane.
  *
  * The arithmetic mirrors `workloads::profileWorkload` exactly: the
  * per-TB one-counts are the same integers the scalar and sliced
@@ -59,7 +72,6 @@
 #define VALLEY_SEARCH_TRACE_PLANES_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bim/bit_matrix.hh"
@@ -95,7 +107,7 @@ struct PlaneOptions
  * Immutable after construction; the scoring entry points are const
  * and touch no shared mutable state, so one instance can be shared by
  * concurrent search restarts. Callers owning incremental row caches
- * pass their own plane/one-count storage in.
+ * pass their own plane and per-kernel entropy storage in.
  */
 class TracePlanes
 {
@@ -118,9 +130,6 @@ class TracePlanes
     /** Number of kernels represented. */
     std::size_t numKernels() const { return kernels.size(); }
 
-    /** Total TBs across all kernels (`ones` spans have this length). */
-    std::size_t tbCount() const { return tb_count; }
-
     /**
      * 64-request words in one combined row plane — the concatenation
      * of every TB's lane, in (kernel, TB) order (`plane` buffers
@@ -138,58 +147,70 @@ class TracePlanes
      * `profileWorkload` would report for that output bit under a
      * matrix containing this row. Bits of `row_mask` at or above
      * `numBits()` must be clear. The from-scratch oracle the
-     * incremental and batched paths are tested against.
+     * incremental path is tested against: it reads every tapped
+     * strip and uses neither the live masks nor a cached plane.
      */
     double rowEntropy(std::uint64_t row_mask, unsigned window,
                       EntropyMetric metric) const;
 
     /**
-     * Score `masks.size()` candidate row masks in one sweep over one
-     * shared one-count scratch (a `rowEntropy` loop allocates per
-     * call). `out[i]` is bit-identical to
-     * `rowEntropy(masks[i], window, metric)`.
+     * Input bits whose strip in kernel `k` has any one bit: kernel
+     * `k`'s output under a row depends only on `row & kernelLive(k)`.
      */
-    void rowEntropyBatch(std::span<const std::uint64_t> masks,
-                         unsigned window, EntropyMetric metric,
-                         double *out) const;
-
-    /** Convenience overload returning a fresh vector. */
-    std::vector<double>
-    rowEntropyBatch(std::span<const std::uint64_t> masks,
-                    unsigned window, EntropyMetric metric) const;
+    std::uint64_t kernelLive(std::size_t k) const
+    {
+        return kernels[k].live;
+    }
 
     /**
      * Build the combined output plane of `row_mask` into
-     * `plane[0, planeWords())` and its exact per-TB one-counts into
-     * `ones[0, tbCount())`.
+     * `plane[0, planeWords())` and each kernel's window entropy into
+     * `kent[0, numKernels())`.
      */
     void combineRow(std::uint64_t row_mask, std::uint64_t *plane,
-                    std::uint64_t *ones) const;
+                    double *kent, unsigned window,
+                    EntropyMetric metric) const;
 
     /**
-     * `dst = base ^ inputPlane(bit)` with per-TB one-counts of the
-     * result — a tap-toggle move in O(one plane). `dst` may alias
-     * `base`.
+     * Score a tap toggle: for every kernel with `bit` live, set
+     * `kent[k]` to the entropy of kernel `k` under `base ^
+     * inputPlane(bit)`; leave every other entry untouched (those
+     * kernels cannot change). Writes no plane. Returns the number of
+     * kernels computed.
      */
-    void toggleRow(const std::uint64_t *base, unsigned bit,
-                   std::uint64_t *dst, std::uint64_t *ones) const;
+    std::size_t toggleRow(const std::uint64_t *base, unsigned bit,
+                          double *kent, unsigned window,
+                          EntropyMetric metric) const;
 
     /**
-     * `dst = a ^ b` with per-TB one-counts of the result — a row-XOR
-     * move on two cached rows. `dst` may alias either input.
+     * Score a row XOR: for every kernel where `b_mask` (the row mask
+     * whose plane is `b`) has a live bit, set `kent[k]` to the
+     * entropy of kernel `k` under `a ^ b`; leave every other entry
+     * untouched. Writes no plane. Returns the number of kernels
+     * computed.
      */
-    void xorRows(const std::uint64_t *a, const std::uint64_t *b,
-                 std::uint64_t *dst, std::uint64_t *ones) const;
+    std::size_t xorRows(const std::uint64_t *a, const std::uint64_t *b,
+                        std::uint64_t b_mask, double *kent,
+                        unsigned window, EntropyMetric metric) const;
+
+    /** `plane ^= inputPlane(bit)` on the kernels where `bit` is live. */
+    void applyToggle(std::uint64_t *plane, unsigned bit) const;
 
     /**
-     * The entropy value of a row whose per-TB one-counts are `ones`
-     * (as produced by `combineRow`/`toggleRow`/`xorRows`).
-     * Bit-identical to `rowEntropy` of the same row: one-counts are
-     * exact integers, and the BVR division, window metric and kernel
-     * combination are the same operations in the same order.
+     * `plane ^= other` on the kernels where `other_mask` (the row mask
+     * whose plane is `other`) has a live bit. `other` must not alias
+     * `plane`.
      */
-    double entropyFromOnes(const std::uint64_t *ones, unsigned window,
-                           EntropyMetric metric) const;
+    void applyXor(std::uint64_t *plane, const std::uint64_t *other,
+                  std::uint64_t other_mask) const;
+
+    /**
+     * The entropy value of a row whose per-kernel entropies are
+     * `kent` (as produced by `combineRow`/`toggleRow`/`xorRows`):
+     * `EntropyProfile::combine`'s request-weighted sum, in kernel
+     * order. Bit-identical to `rowEntropy` of the same row.
+     */
+    double entropyFromKernels(const double *kent) const;
 
     /**
      * Full workload profile under matrix `m`: per output bit `r`,
@@ -218,20 +239,37 @@ class TracePlanes
         std::vector<TbView> tbs;
         std::vector<std::uint64_t> arena;
         std::uint64_t requests = 0; ///< combine() weight
-        std::size_t tbBase = 0;     ///< first global TB index
+        std::uint64_t live = 0;     ///< bits whose strip is non-zero
         std::size_t rowBase = 0;    ///< first word in a row plane
         std::size_t kwords = 0;     ///< words per strip (sum of TBs)
         bool uniform = false;       ///< every TB has words == 1
     };
 
-    /** Exact per-TB one-counts of `row_mask`'s combined output plane. */
-    void rowOnes(std::uint64_t row_mask, std::uint64_t *ones) const;
+    /**
+     * Exact per-TB one-counts of kernel `k`'s slice of `row_mask`'s
+     * output plane into `ones[0, k.tbs.size())`; the slice itself is
+     * stored at `plane` (kernel-local offsets) unless it is null.
+     */
+    void kernelRowOnes(const KernelPlanes &k, std::uint64_t row_mask,
+                       std::uint64_t *plane, std::uint64_t *ones) const;
+
+    /**
+     * Exact per-TB one-counts of `a ^ b` over kernel `k`'s slice
+     * (`a`, `b` at kernel-local offsets), without storing the XOR.
+     */
+    void kernelXorOnes(const KernelPlanes &k, const std::uint64_t *a,
+                       const std::uint64_t *b,
+                       std::uint64_t *ones) const;
+
+    /** Window entropy of kernel `k`'s BVR series from its one-counts. */
+    static double kernelEntropy(const KernelPlanes &k,
+                                const std::uint64_t *ones,
+                                unsigned window, EntropyMetric metric);
 
     void releaseGauge() noexcept;
 
     unsigned nbits;
     std::uint64_t requests_ = 0;
-    std::size_t tb_count = 0;
     std::size_t plane_words = 0;
     const bits::SimdOps *ops; ///< kernel table (scalar if forced)
     std::vector<KernelPlanes> kernels;

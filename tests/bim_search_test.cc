@@ -16,6 +16,7 @@
 
 #include "bim/bim_builder.hh"
 #include "common/cancellation.hh"
+#include "common/metrics.hh"
 #include "common/rng.hh"
 #include "search/searched_bim.hh"
 #include "workloads/profiler.hh"
@@ -57,19 +58,25 @@ struct PlanesFixture
 
 TEST(TracePlanes, IdentityProfileMatchesProfilerBitExactly)
 {
-    for (const char *abbrev : {"MT", "NN"}) {
-        PlanesFixture s(abbrev);
-        const EntropyProfile direct =
-            workloads::profileWorkload(*s.wl, s.po);
-        const EntropyProfile planes = s.planes->profileFor(
-            BitMatrix::identity(s.po.numBits), s.po.window,
-            s.po.metric);
-        ASSERT_EQ(direct.perBit.size(), planes.perBit.size());
-        EXPECT_EQ(direct.weight, planes.weight);
-        for (std::size_t b = 0; b < direct.perBit.size(); ++b)
-            EXPECT_EQ(direct.perBit[b], planes.perBit[b])
-                << abbrev << " bit " << b;
-    }
+    // searchSet computes its identity profiles from the planes, so the
+    // planes must reproduce the profiler on every Table II workload,
+    // under both metrics.
+    for (const std::string &abbrev : workloads::allSet())
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution}) {
+            PlanesFixture s(abbrev, metric);
+            const EntropyProfile direct =
+                workloads::profileWorkload(*s.wl, s.po);
+            const EntropyProfile planes = s.planes->profileFor(
+                BitMatrix::identity(s.po.numBits), s.po.window,
+                s.po.metric);
+            ASSERT_EQ(direct.perBit.size(), planes.perBit.size());
+            EXPECT_EQ(direct.weight, planes.weight) << abbrev;
+            for (std::size_t b = 0; b < direct.perBit.size(); ++b)
+                EXPECT_EQ(direct.perBit[b], planes.perBit[b])
+                    << abbrev << " bit " << b;
+        }
 }
 
 TEST(TracePlanes, MappedProfileMatchesProfilerBitExactly)
@@ -117,70 +124,125 @@ TEST(TracePlanes, ParallelExtractionBitIdenticalToSerial)
         EXPECT_EQ(pa.perBit[bit], pb.perBit[bit]);
 }
 
-TEST(TracePlanes, RowEntropyBatchMatchesRowEntropy)
+TEST(TracePlanes, KernelLiveMaskIsTheOrOfItsAddresses)
 {
-    PlanesFixture s("MT");
-    XorShiftRng rng(17);
-    std::vector<std::uint64_t> masks;
-    for (int i = 0; i < 40; ++i)
-        masks.push_back(rng.next() & bits::mask(30));
-    masks.push_back(0); // degenerate all-zero row
-    for (const EntropyMetric metric :
-         {EntropyMetric::BitProbability,
-          EntropyMetric::BvrDistribution}) {
-        const std::vector<double> batched =
-            s.planes->rowEntropyBatch(masks, 12, metric);
-        ASSERT_EQ(batched.size(), masks.size());
-        for (std::size_t i = 0; i < masks.size(); ++i)
-            EXPECT_EQ(batched[i],
-                      s.planes->rowEntropy(masks[i], 12, metric))
-                << "mask " << i;
+    // LU and NW have kernels whose footprint leaves whole strips
+    // zero; the live mask must name exactly the tracked bits that
+    // some request of the kernel sets.
+    for (const char *abbrev : {"LU", "NW", "MT"}) {
+        PlanesFixture s(abbrev);
+        const auto &ks = s.wl->kernels();
+        ASSERT_EQ(s.planes->numKernels(), ks.size());
+        bool some_dead = false;
+        for (std::size_t k = 0; k < ks.size(); ++k) {
+            std::uint64_t any = 0;
+            for (TbId tb = 0; tb < ks[k].numTbs(); ++tb)
+                for (const WarpTrace &w : ks[k].trace(tb).warps)
+                    for (const MemInstr &instr : w.instrs)
+                        for (const Addr a : instr.lines)
+                            any |= a;
+            any &= bits::mask(s.po.numBits);
+            EXPECT_EQ(s.planes->kernelLive(k), any)
+                << abbrev << " kernel " << k;
+            some_dead = some_dead || any != bits::mask(s.po.numBits);
+        }
+        EXPECT_TRUE(some_dead) << abbrev;
     }
 }
 
-TEST(TracePlanes, IncrementalMovesMatchOracle)
+TEST(TracePlanes, KernelGranularMovesMatchOracle)
 {
-    // Walk a row through the search's move kinds on cached planes:
-    // every intermediate entropyFromOnes value must equal the
-    // from-scratch rowEntropy of the mask the cache represents.
-    PlanesFixture s("MT");
-    const TracePlanes &p = *s.planes;
-    XorShiftRng rng(23);
-    std::vector<std::uint64_t> plane(p.planeWords());
-    std::vector<std::uint64_t> other(p.planeWords());
-    std::vector<std::uint64_t> ones(p.tbCount());
-    std::vector<std::uint64_t> ones2(p.tbCount());
+    // Walk rows through random tap toggles and row XORs on cached
+    // planes, scoring every proposal write-free and applying it as
+    // the search's accept does: each value must equal the
+    // from-scratch rowEntropy of the mask the cache represents, and
+    // the cached plane must stay exactly what combineRow builds.
+    for (const char *abbrev : {"LU", "NW"})
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution}) {
+            PlanesFixture s(abbrev, metric);
+            const TracePlanes &p = *s.planes;
+            const unsigned w = s.po.window;
+            const std::size_t nk = p.numKernels();
+            XorShiftRng rng(23);
+            std::uint64_t masks[2];
+            std::vector<std::uint64_t> planes[2];
+            std::vector<double> kent[2];
+            for (int r = 0; r < 2; ++r) {
+                masks[r] = rng.next() & bits::mask(30);
+                planes[r].resize(p.planeWords());
+                kent[r].resize(nk);
+                p.combineRow(masks[r], planes[r].data(),
+                             kent[r].data(), w, metric);
+                EXPECT_EQ(p.entropyFromKernels(kent[r].data()),
+                          p.rowEntropy(masks[r], w, metric));
+            }
+            std::size_t skipped = 0;
+            for (int move = 0; move < 60; ++move) {
+                const int r = static_cast<int>(rng.below(2));
+                std::vector<double> cand = kent[r];
+                std::size_t computed;
+                std::uint64_t next;
+                const bool toggle = rng.below(3) != 0;
+                const unsigned bit =
+                    static_cast<unsigned>(rng.below(30));
+                if (toggle) {
+                    computed = p.toggleRow(planes[r].data(), bit,
+                                           cand.data(), w, metric);
+                    next = masks[r] ^ (std::uint64_t{1} << bit);
+                } else {
+                    computed = p.xorRows(planes[r].data(),
+                                         planes[1 - r].data(),
+                                         masks[1 - r], cand.data(), w,
+                                         metric);
+                    next = masks[r] ^ masks[1 - r];
+                }
+                skipped += nk - computed;
+                ASSERT_EQ(p.entropyFromKernels(cand.data()),
+                          p.rowEntropy(next, w, metric))
+                    << abbrev << " move " << move;
+                if (rng.below(2) == 0)
+                    continue; // rejected: nothing was written
+                if (toggle)
+                    p.applyToggle(planes[r].data(), bit);
+                else
+                    p.applyXor(planes[r].data(), planes[1 - r].data(),
+                               masks[1 - r]);
+                masks[r] = next;
+                kent[r] = cand;
+                std::vector<std::uint64_t> fresh(p.planeWords());
+                std::vector<double> fresh_kent(nk);
+                p.combineRow(next, fresh.data(), fresh_kent.data(), w,
+                             metric);
+                ASSERT_EQ(planes[r], fresh)
+                    << abbrev << " move " << move;
+                ASSERT_EQ(kent[r], fresh_kent)
+                    << abbrev << " move " << move;
+            }
+            // The walk must have exercised the skip, or it proves
+            // nothing about it.
+            EXPECT_GT(skipped, 0u) << abbrev;
+        }
+}
 
-    std::uint64_t mask = rng.next() & bits::mask(30);
-    p.combineRow(mask, plane.data(), ones.data());
-    EXPECT_EQ(p.entropyFromOnes(ones.data(), 12,
-                                EntropyMetric::BitProbability),
-              p.rowEntropy(mask, 12, EntropyMetric::BitProbability));
-
-    // Tap toggles, including toggling the same bit back.
-    for (const unsigned bit : {3u, 17u, 29u, 17u, 0u}) {
-        p.toggleRow(plane.data(), bit, plane.data(), ones.data());
-        mask ^= std::uint64_t{1} << bit;
-        EXPECT_EQ(
-            p.entropyFromOnes(ones.data(), 12,
-                              EntropyMetric::BitProbability),
-            p.rowEntropy(mask, 12, EntropyMetric::BitProbability))
-            << "bit " << bit;
-        // The cached plane must be exactly what combineRow builds.
-        std::vector<std::uint64_t> fresh(p.planeWords());
-        p.combineRow(mask, fresh.data(), ones2.data());
-        EXPECT_EQ(plane, fresh) << "bit " << bit;
-        EXPECT_EQ(ones, ones2) << "bit " << bit;
+TEST(TracePlanes, PlaneBytesPeakOutlivesThePlanes)
+{
+    // search.plane_bytes is live and falls back once the planes go;
+    // search.plane_bytes_peak keeps the high-water mark for snapshots
+    // taken after a search.
+    metrics::Gauge &live = metrics::gauge("search.plane_bytes");
+    metrics::Gauge &peak = metrics::gauge("search.plane_bytes_peak");
+    const std::int64_t before = live.value();
+    std::uint64_t bytes = 0;
+    {
+        PlanesFixture s("MT");
+        bytes = s.planes->planeBytes();
+        EXPECT_EQ(live.value(), before + static_cast<std::int64_t>(bytes));
     }
-
-    // Row XOR against an independently combined row.
-    const std::uint64_t omask = rng.next() & bits::mask(30);
-    p.combineRow(omask, other.data(), ones2.data());
-    p.xorRows(plane.data(), other.data(), plane.data(), ones.data());
-    mask ^= omask;
-    EXPECT_EQ(p.entropyFromOnes(ones.data(), 12,
-                                EntropyMetric::BitProbability),
-              p.rowEntropy(mask, 12, EntropyMetric::BitProbability));
+    EXPECT_EQ(live.value(), before);
+    EXPECT_GE(peak.value(), before + static_cast<std::int64_t>(bytes));
+    EXPECT_GT(bytes, 0u);
 }
 
 TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
@@ -461,6 +523,8 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
         EXPECT_EQ(b.stats.planeToggles, 0u);
         EXPECT_EQ(b.stats.planeXors, 0u);
         EXPECT_EQ(b.stats.planeRebuilds, 0u);
+        EXPECT_EQ(b.stats.memoHits, 0u);
+        EXPECT_EQ(b.stats.kernelsSkipped, 0u);
 
         const SearchResult ga = sc.greedy();
         const SearchResult gb = so.greedy();

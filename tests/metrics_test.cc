@@ -102,6 +102,24 @@ TEST(Metrics, GaugeSetAndAdd)
     EXPECT_EQ(g.value(), 0);
 }
 
+TEST(Metrics, GaugeRaiseToKeepsTheHighWaterMark)
+{
+    metrics::Gauge &g = metrics::gauge(uniq("peak"));
+    g.raiseTo(5);
+    g.raiseTo(3);
+    EXPECT_EQ(g.value(), 5);
+    g.raiseTo(9);
+    EXPECT_EQ(g.value(), 9);
+
+    // Concurrent raises keep the largest value offered.
+    metrics::Gauge &c = metrics::gauge(uniq("peak_mt"));
+    ThreadPool pool(4);
+    for (int i = 1; i <= 500; ++i)
+        pool.submit([&c, i] { c.raiseTo((i * 37) % 501); });
+    pool.run();
+    EXPECT_EQ(c.value(), 500);
+}
+
 TEST(Metrics, HistogramBucketPlacement)
 {
     // Bucket i holds samples of bit width i: 0 -> bucket 0,

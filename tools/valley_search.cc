@@ -418,12 +418,14 @@ printSearchStats(const search::SearchResult &r)
     const double secs = r.stats.totalSeconds;
     std::printf("throughput: %.0f evals/s (simd %s); plane cache: %"
                 PRIu64 " toggles, %" PRIu64 " xors, %" PRIu64
-                " rebuilds\n",
+                " rebuilds, %" PRIu64 " memo hits, %" PRIu64
+                " kernels skipped\n",
                 secs > 0.0
                     ? static_cast<double>(r.stats.evaluations) / secs
                     : 0.0,
                 bits::simdOps().name, r.stats.planeToggles,
-                r.stats.planeXors, r.stats.planeRebuilds);
+                r.stats.planeXors, r.stats.planeRebuilds,
+                r.stats.memoHits, r.stats.kernelsSkipped);
 }
 
 /** Mean of `p.meanOver(targets)` across member profiles. */
