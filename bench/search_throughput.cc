@@ -393,8 +393,6 @@ main()
                    cached.result.stats.planeXors);
         json.field(std::string(tag) + "plane_rebuilds",
                    cached.result.stats.planeRebuilds);
-        json.field(std::string(tag) + "memo_hits",
-                   cached.result.stats.memoHits);
         json.field(std::string(tag) + "kernels_skipped",
                    cached.result.stats.kernelsSkipped);
 

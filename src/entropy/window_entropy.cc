@@ -264,19 +264,33 @@ windowBitEntropy(const std::vector<double> &bvr_per_tb, unsigned window)
     const std::size_t windows = n - w + 1;
 
     // Sliding sum of BVRs; per window p = sum / w, H = H(p, 1-p).
+    const double *bvr = bvr_per_tb.data();
     double sum_bvr = 0.0;
     for (std::size_t i = 0; i < w; ++i)
-        sum_bvr += bvr_per_tb[i];
+        sum_bvr += bvr[i];
     double total = 0.0;
     for (std::size_t i = 0;; ++i) {
         const double p = sum_bvr / static_cast<double>(w);
-        if (p > 0.0 && p < 1.0)
-            total += binaryEntropyMemo(p);
-        if (i + 1 >= windows)
-            break;
-        sum_bvr += bvr_per_tb[i + w] - bvr_per_tb[i];
+        const double h = p > 0.0 && p < 1.0 ? binaryEntropyMemo(p) : 0.0;
+        // Equal slides: a slide that evicts and admits the same
+        // finite BVR adds x - x = +0 to a sum that is never -0 (it
+        // starts at +0 and cancellation rounds to +0), which leaves
+        // the sum, p and h exactly as they were — so re-add h without
+        // the division or the memo lookup. Periodic series make most
+        // slides equal. (An infinite BVR sends the sum to +-inf or NaN
+        // on either path, and every such window contributes 0. total
+        // is never -0 either, so adding an h of 0.0 where the plain
+        // loop adds nothing is exact.)
+        for (;;) {
+            total += h;
+            if (i + 1 >= windows)
+                return total / static_cast<double>(windows);
+            if (bvr[i + w] != bvr[i])
+                break;
+            ++i;
+        }
+        sum_bvr += bvr[i + w] - bvr[i];
     }
-    return total / static_cast<double>(windows);
 }
 
 double

@@ -103,6 +103,13 @@ double windowEntropyReference(const std::vector<double> &bvr_per_tb,
  * reflect the request-weighted reading, so profiles default to it;
  * `windowEntropy` remains available as the literal BVR-distribution
  * form. See DESIGN.md.
+ *
+ * One sliding pass: the window sum is updated by `bvr[i+w] - bvr[i]`
+ * per slide. A slide that evicts and admits the same value cannot
+ * change the sum, so it re-adds the previous window's term without
+ * recomputing it ("equal-slide reuse"); the result is bit-identical
+ * to recomputing every window (asserted in
+ * tests/window_entropy_test.cc against the plain loop).
  */
 double windowBitEntropy(const std::vector<double> &bvr_per_tb,
                         unsigned window);

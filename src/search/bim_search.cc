@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/bitops.hh"
 #include "common/fault_inject.hh"
@@ -73,6 +72,38 @@ chainSeed(std::uint64_t seed, unsigned restart)
                0xBF58476D1CE4E5B9ull;
 }
 
+/**
+ * Whether every weight of `obj` is finite and >= 0. Then every
+ * floating-point step of `FlatnessObjective::cost` and of both
+ * combiners is monotone under round-to-nearest — cost non-increasing
+ * in each entropy, `combine` non-decreasing in each member cost — so
+ * a cost built from entropy upper bounds is a true lower bound.
+ */
+bool
+monotoneWeights(const JointObjective &obj)
+{
+    const auto ok = [](double w) { return std::isfinite(w) && w >= 0.0; };
+    const FlatnessObjective &f = obj.flatness;
+    return ok(f.meanWeight) && ok(f.minWeight) && ok(f.gateWeight) &&
+           std::all_of(f.targetWeights.begin(), f.targetWeights.end(),
+                       ok) &&
+           std::all_of(obj.memberWeights.begin(),
+                       obj.memberWeights.end(), ok);
+}
+
+/**
+ * Whether the Metropolis test `u < exp(-dc / temp)` is sure to reject
+ * every cost change `dc >= dlb` (temp > 0). exp(-dc / temp) is at
+ * most exp(-dlb / temp) in exact arithmetic; the margin covers
+ * `std::exp`'s rounding (about one ulp, or one subnormal step near
+ * underflow) on both sides.
+ */
+bool
+surelyRejected(double u, double dlb, double temp)
+{
+    return u >= std::exp(-dlb / temp) * (1.0 + 1e-9) + 1e-300;
+}
+
 using Clock = std::chrono::steady_clock;
 
 double
@@ -106,8 +137,9 @@ exportStatsToRegistry(const SearchStats &s)
     metrics::counter("search.plane_toggles").add(s.planeToggles);
     metrics::counter("search.plane_xors").add(s.planeXors);
     metrics::counter("search.plane_rebuilds").add(s.planeRebuilds);
-    metrics::counter("search.memo_hits").add(s.memoHits);
     metrics::counter("search.kernels_skipped").add(s.kernelsSkipped);
+    metrics::counter("search.proposals_pruned").add(s.proposalsPruned);
+    metrics::counter("search.members_pruned").add(s.membersPruned);
     metrics::counter("search.accepted").add(s.accepted);
     metrics::counter("search.rejected_singular").add(s.rejectedSingular);
     // Throughput of the finished run (last-writer-wins gauge): the
@@ -170,6 +202,8 @@ BimSearch::BimSearch(const AddressLayout &layout,
         opts.restarts = 1;
     if (opts.minTaps == 0)
         opts.minTaps = 1;
+    prune_ = opts.planeCache && planes_.size() > 1 &&
+             monotoneWeights(objective);
 }
 
 BimSearch::BimSearch(const AddressLayout &layout,
@@ -264,22 +298,6 @@ BimSearch::runChain(unsigned restart, bool greedy) const
         }
     }
 
-    // Row-entropy memo: a row's entropy under one member is a pure
-    // function of its mask, so a chain that re-proposes a mask it
-    // already scored reads all nm values back instead of touching a
-    // plane. Chain-local, so counters never depend on the thread
-    // count; every member still counts as an evaluation.
-    std::unordered_map<std::uint64_t, std::size_t> memo;
-    std::vector<double> memo_ent; // [slot * nm + m]
-    const auto memoStore = [&](std::uint64_t row, const double *ent,
-                               std::size_t stride) {
-        if (!use_cache)
-            return;
-        if (memo.emplace(row, memo_ent.size() / nm).second)
-            for (std::size_t m = 0; m < nm; ++m)
-                memo_ent.push_back(ent[m * stride]);
-    };
-
     // (Re)combine cache slot (m, i) from scratch and score it — the
     // cache seeding path (setup and the polish reseed).
     const auto rebuildSlot = [&](std::size_t m, std::size_t i,
@@ -307,8 +325,6 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 c.gates);
         }
         c.cost = objective.combine(c.memberCost);
-        for (std::size_t i = 0; i < nt; ++i)
-            memoStore(c.rows[i], c.ent.data() + i, nt);
     };
 
     const std::string span_tag =
@@ -359,8 +375,12 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     const double tf =
         std::min(std::max(opts.finalTemp, 1e-12), t0);
     std::vector<double> mc_scratch(nm);
-    std::vector<double> new_ent(nm);
     std::vector<double> old_ent(nm);
+    // Scoring order of the pruned path: the member whose score last
+    // settled a rejection goes first (bim_search.hh).
+    std::vector<std::size_t> order(nm);
+    for (std::size_t m = 0; m < nm; ++m)
+        order[m] = m;
 
     // One Metropolis step at `temp` (0 = strict-improvement only).
     // Proposals are scored by editing the touched `cur.ent` slots in
@@ -413,7 +433,8 @@ BimSearch::runChain(unsigned restart, bool greedy) const
 
         double new_cost;
         unsigned new_gates = cur.gates;
-        const double *hit = nullptr; // memo entry of new_row, if any
+        bool drawn = false; // u drawn early by the pruned path
+        double u = 0.0;
         if (swap_move) {
             // Swapping two rows only permutes the output bits; rank
             // is invariant under row permutation, so no rank check is
@@ -446,45 +467,86 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 static_cast<unsigned>(std::popcount(new_row));
             new_gates = cur.gates - (old_taps > 1 ? old_taps - 1 : 0) +
                         (new_taps > 1 ? new_taps - 1 : 0);
-            // A memo hit answers every member at once; otherwise the
-            // cached path re-scores only the kernels the move can
-            // change (scoreMove), reusing the rest from row i's cache.
-            if (use_cache)
-                if (const auto it = memo.find(new_row); it != memo.end())
-                    hit = memo_ent.data() + it->second * nm;
-            for (std::size_t m = 0; m < nm; ++m) {
+            // Member m's cost with the current contents of its slot i.
+            const auto memberCostAt = [&](std::size_t m) {
+                mc_scratch[m] = objective.memberCost(
+                    std::span<const double>(cur.ent.data() + m * nt,
+                                            nt),
+                    new_gates);
+            };
+            // Score member m's new row into slot i. The cached path
+            // re-scores only the kernels the move can change
+            // (scoreMove), reusing the rest from row i's cache.
+            const auto scoreMember = [&](std::size_t m) {
                 ++stats.evaluations;
-                if (hit != nullptr) {
-                    new_ent[m] = hit[m];
-                    ++stats.memoHits;
-                } else if (use_cache) {
+                double &e = cur.ent[m * nt + i];
+                if (use_cache) {
                     const std::vector<double> &kent =
                         cache[m * nt + i].kent;
                     std::copy(kent.begin(), kent.end(), cand[m].begin());
                     stats.kernelsSkipped +=
                         kent.size() - scoreMove(m, cand[m].data());
                     ++(kind <= 1 ? stats.planeToggles : stats.planeXors);
-                    new_ent[m] =
-                        planes_[m]->entropyFromKernels(cand[m].data());
+                    e = planes_[m]->entropyFromKernels(cand[m].data());
                 } else {
-                    new_ent[m] = evalRow(m, new_row);
+                    e = evalRow(m, new_row);
                 }
+                memberCostAt(m);
+            };
+            for (std::size_t m = 0; m < nm; ++m)
                 old_ent[m] = cur.ent[m * nt + i];
-                cur.ent[m * nt + i] = new_ent[m];
-                mc_scratch[m] = objective.memberCost(
-                    std::span<const double>(
-                        cur.ent.data() + m * nt, nt),
-                    new_gates);
+            if (prune_) {
+                // Exact early rejection (bim_search.hh): bound every
+                // unscored member by its cost at maximum entropy in
+                // slot i, and stop as soon as the folded bound settles
+                // the Metropolis test.
+                for (std::size_t m = 0; m < nm; ++m) {
+                    cur.ent[m * nt + i] = planes_[m]->maxEntropy();
+                    memberCostAt(m);
+                }
+                std::size_t k = 0;
+                for (; k < nm; ++k) {
+                    const double dlb =
+                        objective.combine(mc_scratch) - cur.cost;
+                    if (dlb >= 0.0) {
+                        // The Metropolis test below draws u exactly
+                        // when dc >= 0, which dc >= dlb >= 0 now
+                        // ensures: draw it here, in the same order.
+                        if (temp > 0.0 && !drawn) {
+                            u = rng.uniform();
+                            drawn = true;
+                        }
+                        if (temp <= 0.0 || surelyRejected(u, dlb, temp))
+                            break;
+                    }
+                    scoreMember(order[k]);
+                }
+                if (k < nm) {
+                    // Rejected: the unscored members still count, so
+                    // budgets and counters repeat the full scoring.
+                    stats.evaluations += nm - k;
+                    stats.membersPruned += nm - k;
+                    ++stats.proposalsPruned;
+                    if (k > 0)
+                        std::rotate(order.begin(), order.begin() + k - 1,
+                                    order.begin() + k);
+                    for (std::size_t m = 0; m < nm; ++m)
+                        cur.ent[m * nt + i] = old_ent[m];
+                    return;
+                }
+            } else {
+                for (std::size_t m = 0; m < nm; ++m)
+                    scoreMember(m);
             }
-            if (hit == nullptr)
-                memoStore(new_row, new_ent.data(), 1);
             new_cost = objective.combine(mc_scratch);
         }
 
         const double dc = new_cost - cur.cost;
+        assert(!drawn || dc >= 0.0);
         const bool accept =
             dc < 0.0 ||
-            (temp > 0.0 && rng.uniform() < std::exp(-dc / temp));
+            (temp > 0.0 &&
+             (drawn ? u : rng.uniform()) < std::exp(-dc / temp));
         if (!accept) {
             // Restore only the slots this proposal touched.
             if (swap_move) {
@@ -507,16 +569,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             if (use_cache)
                 for (std::size_t m = 0; m < nm; ++m) {
                     RowCache &rc = cache[m * nt + i];
-                    if (hit == nullptr) {
-                        std::swap(rc.kent, cand[m]);
-                    } else {
-                        // The memo skipped the per-kernel values:
-                        // compute the changed kernels now, so the
-                        // cache stays valid.
-                        scoreMove(m, rc.kent.data());
-                        assert(planes_[m]->entropyFromKernels(
-                                   rc.kent.data()) == new_ent[m]);
-                    }
+                    std::swap(rc.kent, cand[m]);
                     if (kind <= 1)
                         planes_[m]->applyToggle(rc.plane.data(),
                                                 toggle_bit);
@@ -689,8 +742,9 @@ BimSearch::anneal() const
         total.planeToggles += s.stats.planeToggles;
         total.planeXors += s.stats.planeXors;
         total.planeRebuilds += s.stats.planeRebuilds;
-        total.memoHits += s.stats.memoHits;
         total.kernelsSkipped += s.stats.kernelsSkipped;
+        total.proposalsPruned += s.stats.proposalsPruned;
+        total.membersPruned += s.stats.membersPruned;
     }
     out.stats = total;
     out.identityCost = identityCost();

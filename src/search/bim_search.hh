@@ -51,6 +51,28 @@
  * (`maxEvaluations`) is split per chain and counted deterministically;
  * wall-clock is *reported* in `SearchStats` but never feeds back into
  * control, so timing noise cannot change any result.
+ *
+ * ## Exact early rejection
+ *
+ * On a multi-member set with the plane cache on, a proposal stops
+ * being scored as soon as its rejection is certain, without changing
+ * any decision. Each unscored member is bounded from below by its
+ * cost with the proposal's slot at the member's
+ * `TracePlanes::maxEntropy()` (and the proposal's gate count); after
+ * each scored member the exact costs and the remaining bounds fold
+ * through `JointObjective::combine`. With every weight finite and
+ * >= 0, each floating-point step of the member cost and of both
+ * combiners is monotone under round-to-nearest, so the fold is a
+ * true lower bound on the full cost and `dlb = bound - cost <= dc`.
+ * At temperature 0 a proposal is rejected once `dlb >= 0`. Above 0,
+ * `dlb >= 0` implies `dc >= 0`, where the Metropolis test draws its
+ * uniform `u`: the pruned path draws it at that point (same stream
+ * position) and rejects once `u >= exp(-dlb / T)` by a margin that
+ * covers `exp`'s rounding; otherwise it scores on and decides with
+ * the same `u`. A rejected proposal still counts all its members as
+ * evaluations. Members are scored in move-to-front order — the one
+ * whose score settled the last rejection first — which changes no
+ * value, because `combine` folds in member-index order.
  */
 
 #ifndef VALLEY_SEARCH_BIM_SEARCH_HH
@@ -155,17 +177,17 @@ struct SearchOptions
      * the kernels where the toggled bit is live, a row-XOR proposal
      * only those where the other row has a live bit, each in O(one
      * plane slice) and without writing a plane; an accept XORs the
-     * cached plane in place. A chain-local memo maps every row mask
-     * the chain has scored to its entropy under each member, so a
-     * re-proposed mask touches no plane. One-counts are exact
-     * integers and a row's entropy is a pure function of its mask,
-     * so the cached path is bit-identical to the from-scratch
+     * cached plane in place. On a multi-member set the cached path
+     * also rejects proposals early (see `BimSearch`). One-counts are
+     * exact integers and a row's entropy is a pure function of its
+     * mask, so the cached path is bit-identical to the from-scratch
      * `rowEntropy` oracle: trajectories, results and
      * `SearchStats::evaluations` are unchanged with the cache on or
      * off (asserted in `tests/bim_search_test.cc` and
      * `tests/joint_search_test.cc`), which is why toggling this knob
-     * does NOT bump `kSearchVersion`. Off = score every proposal via
-     * the oracle (the slow reference leg for tests and benches).
+     * does NOT bump `kSearchVersion`. Off = score every member of
+     * every proposal via the oracle, never rejecting early (the slow
+     * reference leg for tests and benches).
      */
     bool planeCache = true;
 
@@ -194,7 +216,12 @@ struct SearchOptions
  */
 struct SearchStats
 {
-    /** Row scorings, one per member per scored row (memo hits too). */
+    /**
+     * Row scorings, one per member per scored row. A proposal
+     * rejected early still counts all of its members, so this (and
+     * the `maxEvaluations` budget it feeds) repeats the unpruned
+     * search exactly.
+     */
     std::uint64_t evaluations = 0;
     std::uint64_t accepted = 0;         ///< accepted moves
     std::uint64_t rejectedSingular = 0; ///< moves failing the rank check
@@ -227,9 +254,10 @@ struct SearchStats
      * Plane-cache accounting (zero when `planeCache` is off): how
      * each evaluation was produced. `planeToggles` / `planeXors`
      * count computed incremental proposals (per member per
-     * proposal); `memoHits` counts member evaluations answered by
-     * the chain's row memo, which computed nothing — so past setup,
-     * every evaluation is exactly one of the three.
+     * proposal); `membersPruned` counts the members of early-rejected
+     * proposals that were never scored — so past setup,
+     * `evaluations = planeToggles + planeXors + membersPruned`.
+     * `proposalsPruned` counts the proposals rejected early.
      * `kernelsSkipped` counts the kernels a computed proposal reused
      * from the cache because its move could not change them.
      * `planeRebuilds` counts full `combineRow` recombines — the
@@ -241,8 +269,9 @@ struct SearchStats
     std::uint64_t planeToggles = 0;
     std::uint64_t planeXors = 0;
     std::uint64_t planeRebuilds = 0;
-    std::uint64_t memoHits = 0;
     std::uint64_t kernelsSkipped = 0;
+    std::uint64_t proposalsPruned = 0;
+    std::uint64_t membersPruned = 0;
 };
 
 /** Outcome of `BimSearch::anneal` or `BimSearch::greedy`. */
@@ -344,6 +373,9 @@ class BimSearch
     std::vector<const TracePlanes *> planes_;
     JointObjective objective;
     SearchOptions opts;
+    /** Exact early rejection applies: plane cache on, more than one
+     *  member, every objective weight finite and >= 0. */
+    bool prune_ = false;
 };
 
 } // namespace search

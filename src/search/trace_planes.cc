@@ -165,6 +165,8 @@ TracePlanes::TracePlanes(const Workload &workload,
         }
         requests_ += k.requests;
     }
+    maxEntropy_ =
+        entropyFromKernels(std::vector<double>(kernels.size(), 1.0).data());
 
     metrics::Gauge &resident = metrics::gauge("search.plane_bytes");
     resident.add(static_cast<std::int64_t>(planeBytes()));
@@ -173,7 +175,7 @@ TracePlanes::TracePlanes(const Workload &workload,
 
 TracePlanes::TracePlanes(TracePlanes &&other) noexcept
     : nbits(other.nbits), requests_(other.requests_),
-      plane_words(other.plane_words),
+      maxEntropy_(other.maxEntropy_), plane_words(other.plane_words),
       ops(other.ops), kernels(std::move(other.kernels))
 {
     // The arena merely changed owner; the resident-bytes gauge is
@@ -190,6 +192,7 @@ TracePlanes::operator=(TracePlanes &&other) noexcept
         releaseGauge();
         nbits = other.nbits;
         requests_ = other.requests_;
+        maxEntropy_ = other.maxEntropy_;
         plane_words = other.plane_words;
         ops = other.ops;
         kernels = std::move(other.kernels);

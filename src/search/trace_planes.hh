@@ -213,6 +213,14 @@ class TracePlanes
     double entropyFromKernels(const double *kent) const;
 
     /**
+     * Upper bound on every row's entropy: `entropyFromKernels` over
+     * all-1.0 kernels (a kernel's window entropy is at most 1, and
+     * the weighted sum is monotone in each kernel). Computed once at
+     * construction; the search's early rejection bounds with it.
+     */
+    double maxEntropy() const { return maxEntropy_; }
+
+    /**
      * Full workload profile under matrix `m`: per output bit `r`,
      * `rowEntropy(m.row(r))`. Bit-identical to
      * `profileWorkload(workload, opts with mapper = m)`.
@@ -270,6 +278,7 @@ class TracePlanes
 
     unsigned nbits;
     std::uint64_t requests_ = 0;
+    double maxEntropy_ = 0.0;
     std::size_t plane_words = 0;
     const bits::SimdOps *ops; ///< kernel table (scalar if forced)
     std::vector<KernelPlanes> kernels;

@@ -56,17 +56,23 @@ struct TbTrace
 
 /**
  * Coalesce per-thread byte addresses of one warp access into sorted,
- * de-duplicated line transactions.
+ * de-duplicated line transactions. `line_bytes` must be a power of
+ * two (std::invalid_argument otherwise): alignment is a mask.
  */
 std::vector<Addr> coalesce(std::span<const Addr> thread_addrs,
                            unsigned line_bytes);
 
 /**
  * Incremental builder used by the kernel generator callbacks.
+ *
+ * Coalesces each access of up to 64 threads in a stack buffer and
+ * allocates its `MemInstr::lines` once, at the exact line count.
  */
 class TraceBuilder
 {
   public:
+    /** @throws std::invalid_argument unless `line_bytes` is a power
+     *  of two. */
     TraceBuilder(unsigned warps_per_tb, unsigned line_bytes,
                  unsigned compute_gap);
 
@@ -94,7 +100,13 @@ class TraceBuilder
     unsigned lineBytes() const { return lineBytes_; }
 
   private:
+    /** Append one instruction of `n` sorted, distinct lines (none:
+     *  no instruction). */
+    void push(unsigned warp, const Addr *lines, std::size_t n,
+              bool write);
+
     unsigned lineBytes_;
+    Addr lineMask_; ///< clears the in-line offset bits
     unsigned computeGap;
     std::vector<unsigned> pendingGap;
     TbTrace tb;

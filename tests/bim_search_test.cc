@@ -523,7 +523,6 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
         EXPECT_EQ(b.stats.planeToggles, 0u);
         EXPECT_EQ(b.stats.planeXors, 0u);
         EXPECT_EQ(b.stats.planeRebuilds, 0u);
-        EXPECT_EQ(b.stats.memoHits, 0u);
         EXPECT_EQ(b.stats.kernelsSkipped, 0u);
 
         const SearchResult ga = sc.greedy();

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "common/bit_mask.hh"
@@ -313,6 +318,74 @@ TEST(SimdDispatch, XorPopcountEachMatchesScalar)
             ASSERT_EQ(c1, c2) << ops->name << " n=" << n;
             ASSERT_EQ(a, a0) << ops->name << " n=" << n;
             ASSERT_EQ(b, b0) << ops->name << " n=" << n;
+        }
+}
+
+namespace {
+
+/**
+ * `n` words ending exactly at a page boundary, followed by a
+ * PROT_NONE page: any read or write past the last word faults.
+ */
+class GuardedWords
+{
+  public:
+    explicit GuardedWords(std::size_t n)
+        : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE)))
+    {
+        base_ = mmap(nullptr, 2 * page_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base_ == MAP_FAILED ||
+            mprotect(static_cast<char *>(base_) + page_, page_,
+                     PROT_NONE) != 0)
+            throw std::runtime_error("GuardedWords: mmap failed");
+        words_ = reinterpret_cast<std::uint64_t *>(
+                     static_cast<char *>(base_) + page_) -
+                 n;
+    }
+    GuardedWords(const GuardedWords &) = delete;
+    GuardedWords &operator=(const GuardedWords &) = delete;
+    ~GuardedWords() { munmap(base_, 2 * page_); }
+
+    std::uint64_t *data() const { return words_; }
+
+  private:
+    std::size_t page_;
+    void *base_ = nullptr;
+    std::uint64_t *words_ = nullptr;
+};
+
+} // namespace
+
+TEST(SimdDispatch, TailsStopAtAPageBoundary)
+{
+    // However a tier finishes the words that do not fill a vector,
+    // it must not read or write past its inputs: inputs (and
+    // xorPopcountN's dst) that end right before an unmapped page
+    // must count as the scalar oracle does and must not fault.
+    XorShiftRng rng(82);
+    const bits::SimdOps &oracle = bits::scalarSimdOps();
+    for (const bits::SimdOps *ops : availableLevels())
+        for (std::size_t n = 1; n <= 17; ++n) {
+            const GuardedWords a(n), b(n), c(n), dst(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                a.data()[i] = rng.next();
+                b.data()[i] = rng.next();
+                c.data()[i] = rng.next();
+            }
+            EXPECT_EQ(ops->xorPopcount2(a.data(), b.data(), n),
+                      oracle.xorPopcount2(a.data(), b.data(), n))
+                << ops->name << " n=" << n;
+            const std::uint64_t *srcs[] = {a.data(), b.data(), c.data()};
+            std::vector<std::uint64_t> want(n);
+            const std::uint64_t ones =
+                oracle.xorPopcountN(srcs, 3, want.data(), n);
+            EXPECT_EQ(ops->xorPopcountN(srcs, 3, dst.data(), n), ones)
+                << ops->name << " n=" << n;
+            EXPECT_TRUE(std::equal(want.begin(), want.end(), dst.data()))
+                << ops->name << " n=" << n;
+            EXPECT_EQ(ops->xorPopcountN(srcs, 3, nullptr, n), ones)
+                << ops->name << " n=" << n;
         }
 }
 

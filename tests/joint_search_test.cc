@@ -160,64 +160,106 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
     EXPECT_EQ(b.stats.planeToggles, 0u);
     EXPECT_EQ(b.stats.planeXors, 0u);
     EXPECT_EQ(b.stats.planeRebuilds, 0u);
-    EXPECT_EQ(b.stats.memoHits, 0u);
     EXPECT_EQ(b.stats.kernelsSkipped, 0u);
 }
 
 TEST(JointSearch, PlaneCacheOffBitIdenticalWhereKernelsAreSkipped)
 {
     // LU, GS, NW and DWT2D have many kernels and many all-zero
-    // strips, so the cached run skips kernels and answers repeated
-    // masks from its memo — exactly the work the oracle run redoes
-    // from scratch. Uncapped and capped, serial and on 3 threads,
-    // under both metrics, the two must not differ in any result or
-    // counter the search reports.
+    // strips, so the cached run skips kernels and rejects proposals
+    // before scoring every member — exactly the work the oracle run
+    // redoes from scratch. Uncapped and capped, serial and on 3
+    // threads, under both metrics, with the uniform mean, a weighted
+    // mean and the worst-case combiner, annealed and greedy, the two
+    // must not differ in any result or counter the search reports.
     const AddressLayout layout = gddr5();
     const WorkloadSet set({"LU", "GS", "NW", "DWT2D"});
     const SetPlanes sp(set);
-    for (const EntropyMetric metric :
-         {EntropyMetric::BitProbability,
-          EntropyMetric::BvrDistribution})
-        for (const std::uint64_t cap : {std::uint64_t{0},
-                                        std::uint64_t{600}})
-            for (const unsigned threads : {1u, 3u}) {
-                SearchOptions cached = smallOptions(layout);
-                cached.metric = metric;
-                cached.maxEvaluations = cap;
-                cached.threads = threads;
-                SearchOptions oracle = cached;
-                oracle.planeCache = false;
-                const JointObjective obj = defaultJointObjective(
-                    layout, cached.targets, JointCombiner::Mean);
-                const SearchResult a =
-                    BimSearch(layout, sp.ptrs(), obj, cached).anneal();
-                const SearchResult b =
-                    BimSearch(layout, sp.ptrs(), obj, oracle).anneal();
-                const std::string tag =
-                    std::string(metric == EntropyMetric::BitProbability
-                                    ? "bitprob"
-                                    : "bvr") +
-                    " cap " + std::to_string(cap) + " threads " +
-                    std::to_string(threads);
-                EXPECT_TRUE(a.bim == b.bim) << tag;
-                EXPECT_EQ(a.cost, b.cost) << tag;
-                EXPECT_EQ(a.stats.evaluations, b.stats.evaluations)
-                    << tag;
-                EXPECT_EQ(a.stats.accepted, b.stats.accepted) << tag;
-                EXPECT_EQ(a.memberCosts, b.memberCosts) << tag;
-                EXPECT_EQ(a.stats.capped, cap != 0) << tag;
-                EXPECT_EQ(b.stats.capped, cap != 0) << tag;
-                EXPECT_GT(a.stats.memoHits, 0u) << tag;
-                EXPECT_GT(a.stats.kernelsSkipped, 0u) << tag;
-                EXPECT_EQ(b.stats.memoHits, 0u) << tag;
-                EXPECT_EQ(b.stats.kernelsSkipped, 0u) << tag;
-                // Past setup every cached evaluation is a computed
-                // toggle, a computed XOR or a memo hit.
-                EXPECT_EQ(a.stats.evaluations - a.stats.setupEvaluations,
-                          a.stats.planeToggles + a.stats.planeXors +
-                              a.stats.memoHits)
-                    << tag;
-            }
+    struct Fold
+    {
+        const char *name;
+        JointCombiner combiner;
+        std::vector<double> weights;
+    };
+    const Fold folds[] = {
+        {"mean", JointCombiner::Mean, {}},
+        {"weighted", JointCombiner::Mean, {3.0, 0.5, 1.0, 0.0}},
+        {"worst", JointCombiner::WorstCase, {}},
+    };
+    const auto expectSame = [](const SearchResult &a,
+                               const SearchResult &b,
+                               const std::string &tag) {
+        EXPECT_TRUE(a.bim == b.bim) << tag;
+        EXPECT_EQ(a.cost, b.cost) << tag;
+        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations) << tag;
+        EXPECT_EQ(a.stats.accepted, b.stats.accepted) << tag;
+        EXPECT_EQ(a.memberCosts, b.memberCosts) << tag;
+        EXPECT_GT(a.stats.membersPruned, 0u) << tag;
+        EXPECT_GT(a.stats.proposalsPruned, 0u) << tag;
+        EXPECT_EQ(b.stats.membersPruned, 0u) << tag;
+        EXPECT_EQ(b.stats.proposalsPruned, 0u) << tag;
+        EXPECT_EQ(b.stats.kernelsSkipped, 0u) << tag;
+        // Past setup every cached evaluation is a computed toggle, a
+        // computed XOR or a member a rejection skipped.
+        EXPECT_EQ(a.stats.evaluations - a.stats.setupEvaluations,
+                  a.stats.planeToggles + a.stats.planeXors +
+                      a.stats.membersPruned)
+            << tag;
+    };
+    for (const Fold &fold : folds)
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution})
+            for (const std::uint64_t cap : {std::uint64_t{0},
+                                            std::uint64_t{600}})
+                for (const unsigned threads : {1u, 3u}) {
+                    SearchOptions cached = smallOptions(layout);
+                    cached.metric = metric;
+                    cached.maxEvaluations = cap;
+                    cached.threads = threads;
+                    SearchOptions oracle = cached;
+                    oracle.planeCache = false;
+                    JointObjective obj = defaultJointObjective(
+                        layout, cached.targets, fold.combiner);
+                    obj.memberWeights = fold.weights;
+                    const BimSearch cs(layout, sp.ptrs(), obj, cached);
+                    const BimSearch os(layout, sp.ptrs(), obj, oracle);
+                    const std::string tag =
+                        std::string(fold.name) + " " +
+                        (metric == EntropyMetric::BitProbability
+                             ? "bitprob"
+                             : "bvr") +
+                        " cap " + std::to_string(cap) + " threads " +
+                        std::to_string(threads);
+                    const SearchResult a = cs.anneal();
+                    const SearchResult b = os.anneal();
+                    expectSame(a, b, tag);
+                    EXPECT_EQ(a.stats.capped, cap != 0) << tag;
+                    EXPECT_EQ(b.stats.capped, cap != 0) << tag;
+                    EXPECT_GT(a.stats.kernelsSkipped, 0u) << tag;
+                    if (threads == 1)
+                        expectSame(cs.greedy(), os.greedy(),
+                                   tag + " greedy");
+                }
+}
+
+TEST(JointSearch, SizeOneSetNeverPrunes)
+{
+    // Early rejection needs other members to bound: a size-1 search
+    // scores its one member on every computed proposal.
+    const AddressLayout layout = gddr5();
+    const WorkloadSet set({"LU"});
+    const SetPlanes sp(set);
+    SearchOptions opts = smallOptions(layout);
+    const BimSearch s(layout, sp.ptrs(),
+                      defaultJointObjective(layout, opts.targets,
+                                            JointCombiner::Mean),
+                      opts);
+    for (const SearchResult &r : {s.anneal(), s.greedy()}) {
+        EXPECT_GT(r.stats.planeToggles + r.stats.planeXors, 0u);
+        EXPECT_EQ(r.stats.proposalsPruned, 0u);
+        EXPECT_EQ(r.stats.membersPruned, 0u);
+    }
 }
 
 TEST(JointSearch, JointMatrixImprovesEveryMemberHere)

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
+#include "common/rng.hh"
 #include "workloads/trace.hh"
 
 using namespace valley;
@@ -122,4 +127,74 @@ TEST(TraceBuilder, EmptyAccessIgnored)
     TraceBuilder b(1, 128, 4);
     b.access(0, {}, false);
     EXPECT_EQ(b.take().requestCount(), 0u);
+}
+
+namespace {
+
+/** The coalescer's definition: divide, sort, unique. */
+std::vector<Addr>
+referenceLines(std::vector<Addr> addrs, unsigned line_bytes)
+{
+    for (Addr &a : addrs)
+        a = a / line_bytes * line_bytes;
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+    return addrs;
+}
+
+} // namespace
+
+TEST(TraceBuilder, CoalescerMatchesSortUniqueReference)
+{
+    // Random warps on both sides of the 64-thread stack buffer:
+    // explicit unsorted addresses with duplicate lines through
+    // access(), positive and negative strides (sub-line strides make
+    // duplicate lines) through accessStrided(). Every instruction
+    // must equal the reference and own exactly its lines.
+    XorShiftRng rng(4242);
+    const std::int64_t strides[] = {0, 4, 8, 100, 128, 2048, -4, -8,
+                                    -100, -128, -2048, -4096};
+    for (int trial = 0; trial < 300; ++trial) {
+        const unsigned threads =
+            33 + static_cast<unsigned>(rng.below(68)); // 33..100
+        TraceBuilder b(2, 128, 4);
+
+        std::vector<Addr> addrs(threads);
+        for (Addr &a : addrs)
+            a = (rng.below(64) * 128 + rng.below(128)) << rng.below(3);
+        b.access(0, addrs, false);
+
+        const std::int64_t stride = strides[rng.below(std::size(strides))];
+        const Addr base = 0x100000 + rng.below(1 << 16);
+        b.accessStrided(1, base, stride, threads, true);
+        std::vector<Addr> strided(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            strided[t] = static_cast<Addr>(
+                static_cast<std::int64_t>(base) +
+                static_cast<std::int64_t>(t) * stride);
+
+        const TbTrace tb = b.take();
+        ASSERT_EQ(tb.warps[0].instrs.size(), 1u);
+        ASSERT_EQ(tb.warps[1].instrs.size(), 1u);
+        const auto &explicit_lines = tb.warps[0].instrs[0].lines;
+        const auto &strided_lines = tb.warps[1].instrs[0].lines;
+        EXPECT_EQ(explicit_lines, referenceLines(addrs, 128))
+            << "trial " << trial << " threads " << threads;
+        EXPECT_EQ(explicit_lines, coalesce(addrs, 128));
+        EXPECT_EQ(strided_lines, referenceLines(strided, 128))
+            << "trial " << trial << " stride " << stride;
+        EXPECT_EQ(explicit_lines.capacity(), explicit_lines.size());
+        EXPECT_EQ(strided_lines.capacity(), strided_lines.size());
+    }
+}
+
+TEST(TraceBuilder, RejectsNonPowerOfTwoLineSize)
+{
+    // Alignment is a mask, so a line size that is not a power of two
+    // is refused up front instead of mis-aligning every request.
+    EXPECT_THROW(TraceBuilder(1, 96, 4), std::invalid_argument);
+    EXPECT_THROW(TraceBuilder(1, 0, 4), std::invalid_argument);
+    EXPECT_THROW(coalesce(std::vector<Addr>{0x100}, 100),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(TraceBuilder(1, 64, 4));
 }

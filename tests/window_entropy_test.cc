@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.hh"
@@ -239,11 +240,12 @@ TEST(WindowBitEntropy, EdgeCases)
 namespace {
 
 /**
- * The pre-memoization windowBitEntropy: sliding BVR sum with the
- * heap-allocating `shannonEntropyBaseV({p, 1 - p})` tail. The
- * memoized production path must reproduce it bit for bit — the memo
- * caches results keyed on the exact bit pattern of p, so a hit
- * returns the very double a prior identical input produced.
+ * The plain windowBitEntropy: sliding BVR sum, every window's term
+ * recomputed through the heap-allocating `shannonEntropyBaseV({p,
+ * 1 - p})` tail. The production path must reproduce it bit for bit:
+ * the memo caches results keyed on the exact bit pattern of p, so a
+ * hit returns the very double a prior identical input produced, and
+ * equal-slide reuse re-adds a term only when the sum cannot move.
  */
 double
 windowBitEntropyReference(const std::vector<double> &bvr_per_tb,
@@ -313,6 +315,58 @@ TEST(WindowBitEntropy, MemoizedTailHandlesDenormals)
         ASSERT_TRUE(std::isfinite(got));
         // Second call must hit the memo and return the same double.
         ASSERT_EQ(windowBitEntropy(series, window), got);
+    }
+}
+
+/** Bit pattern of a double, so the comparisons below are exact. */
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+TEST(WindowBitEntropy, EqualSlideReuseMatchesPlainLoop)
+{
+    // Series shaped to hit equal slides (bvr[i + w] == bvr[i]) never,
+    // always and in every mix in between; each must equal the plain
+    // loop bit for bit.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double sub = std::numeric_limits<double>::min() / 3.0;
+    XorShiftRng rng(2718);
+    for (const unsigned w : {1u, 2u, 3u, 5u, 12u}) {
+        std::vector<std::pair<std::string, std::vector<double>>> cases;
+        std::vector<double> random(97);
+        for (double &x : random)
+            x = rng.uniform();
+        cases.emplace_back("random", random);
+        for (const unsigned period : {w, 2 * w, w + 1, w - 1}) {
+            if (period == 0)
+                continue;
+            std::vector<double> base(period), s(101);
+            for (double &x : base)
+                x = static_cast<double>(rng.below(65)) / 64.0;
+            for (std::size_t i = 0; i < s.size(); ++i)
+                s[i] = base[i % period];
+            cases.emplace_back("period " + std::to_string(period), s);
+        }
+        cases.emplace_back("constant", std::vector<double>(50, 0.375));
+        cases.emplace_back("all-0", std::vector<double>(50, 0.0));
+        cases.emplace_back("all-1", std::vector<double>(50, 1.0));
+        std::vector<double> short_series(w - 1);
+        for (std::size_t i = 0; i < short_series.size(); ++i)
+            short_series[i] = i % 2 == 0 ? 0.25 : 0.75;
+        cases.emplace_back("n < w", short_series);
+        cases.emplace_back("n = 1", std::vector<double>{0.3});
+        std::vector<double> denormal(60);
+        for (std::size_t i = 0; i < denormal.size(); ++i)
+            denormal[i] = i % 3 == 0 ? tiny : i % 3 == 1 ? sub : 0.0;
+        cases.emplace_back("denormal", denormal);
+        for (const auto &[name, s] : cases)
+            EXPECT_EQ(bitsOf(windowBitEntropy(s, w)),
+                      bitsOf(windowBitEntropyReference(s, w)))
+                << name << " w=" << w;
     }
 }
 

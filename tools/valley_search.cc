@@ -418,14 +418,16 @@ printSearchStats(const search::SearchResult &r)
     const double secs = r.stats.totalSeconds;
     std::printf("throughput: %.0f evals/s (simd %s); plane cache: %"
                 PRIu64 " toggles, %" PRIu64 " xors, %" PRIu64
-                " rebuilds, %" PRIu64 " memo hits, %" PRIu64
-                " kernels skipped\n",
+                " rebuilds, %" PRIu64
+                " kernels skipped; early rejection: %" PRIu64
+                " proposals, %" PRIu64 " members pruned\n",
                 secs > 0.0
                     ? static_cast<double>(r.stats.evaluations) / secs
                     : 0.0,
                 bits::simdOps().name, r.stats.planeToggles,
                 r.stats.planeXors, r.stats.planeRebuilds,
-                r.stats.memoHits, r.stats.kernelsSkipped);
+                r.stats.kernelsSkipped,
+                r.stats.proposalsPruned, r.stats.membersPruned);
 }
 
 /** Mean of `p.meanOver(targets)` across member profiles. */
