@@ -305,9 +305,20 @@ main()
             legacy_planes.push_back(
                 legacyExtract(*w, layout.addrBits));
         }
+        // Arenas store live strips only; the share is against one
+        // strip per tracked bit.
         std::uint64_t plane_bytes = 0;
-        for (const search::TracePlanes &p : simd_planes)
+        std::uint64_t full_width_bytes = 0;
+        for (const search::TracePlanes &p : simd_planes) {
             plane_bytes += p.planeBytes();
+            full_width_bytes += std::uint64_t{p.numBits()} *
+                                p.planeWords() * sizeof(std::uint64_t);
+        }
+        const double live_share =
+            full_width_bytes > 0
+                ? static_cast<double>(plane_bytes) /
+                      static_cast<double>(full_width_bytes)
+                : 0.0;
 
         search::SearchOptions so = search::defaultOptions(layout);
         so.threads = 1;
@@ -369,6 +380,7 @@ main()
             small_evals_per_sec = cached.evalsPerSec();
 
         json.field(std::string(tag) + "plane_bytes", plane_bytes);
+        json.field(std::string(tag) + "plane_live_share", live_share);
         json.field(std::string(tag) +
                        "baseline_evaluations_per_second",
                    legacy_evals_per_sec);
@@ -397,11 +409,12 @@ main()
                    cached.result.stats.kernelsSkipped);
 
         std::printf(
-            "scale %.2f (%.1f MiB planes): legacy %.0f evals/s, "
-            "scalar-oracle %.0f, simd-oracle %.0f, cached %.0f "
+            "scale %.2f (%.1f MiB planes, %.0f%% live): legacy %.0f "
+            "evals/s, scalar-oracle %.0f, simd-oracle %.0f, cached %.0f "
             "(%.1fx vs legacy), identical=%s\n",
             scale,
             static_cast<double>(plane_bytes) / (1024.0 * 1024.0),
+            100.0 * live_share,
             legacy_evals_per_sec, scalar_leg.evalsPerSec(),
             simd_leg.evalsPerSec(), cached.evalsPerSec(), speedup,
             legacy_identical && simd_identical && cached_identical

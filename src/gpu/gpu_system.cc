@@ -118,8 +118,11 @@ void
 GpuSystem::issueStage(unsigned sm_idx)
 {
     Sm &sm = sms[sm_idx];
-    if (sm.lsu.size() >= cfg.lsuQueueDepth)
+    if (sm.lsu.size() >= cfg.lsuQueueDepth) {
+        // Nothing can issue until lsuStage pops, which wakes the SM.
+        sm.wakeAt = ~Cycle{0};
         return;
+    }
 
     // Earliest readyAt of an active, non-waiting warp: if no scheduler
     // issues, nothing can until then (or until a warp changes state).
@@ -244,18 +247,15 @@ void
 GpuSystem::lsuStage(unsigned sm_idx)
 {
     Sm &sm = sms[sm_idx];
-    // A blocked head stays blocked until its cause changes: only this
-    // SM's own accesses (none while blocked) and fills into its L1
-    // (deliverReply clears the gate) change the L1, and only a
-    // request-NoC tick frees input room.
-    if (sm.lsuBlocked == Blocked::Mshr ||
-        (sm.lsuBlocked == Blocked::Link && !reqNoc->canInject(sm_idx)))
-        return;
+    assert(!lsuHeadBlocked(sm_idx));
     sm.lsuBlocked = Blocked::No;
     for (unsigned n = 0; n < cfg.lsuWidth && !sm.lsu.empty(); ++n) {
         if (!tryIssueLine(sm_idx, sm.lsu.front()))
             break; // head-of-line blocking; retry next cycle
         sm.lsu.pop_front();
+        // A full LSU put the SM to sleep (issueStage); it has room now.
+        if (sm.wakeAt == ~Cycle{0})
+            sm.wakeAt = 0;
         noteProgress();
     }
 }
@@ -547,7 +547,7 @@ GpuSystem::run(const Workload &workload)
 
             // SM domain.
             for (unsigned s = 0; s < cfg.numSms; ++s) {
-                if (!sms[s].lsu.empty())
+                if (!sms[s].lsu.empty() && !lsuHeadBlocked(s))
                     lsuStage(s);
                 if (cycle >= sms[s].wakeAt)
                     issueStage(s);

@@ -23,8 +23,9 @@
  * The cycle loop visits only components that can act:
  *  - an SM whose warps are all waiting or not yet ready sleeps until
  *    its `wakeAt` cycle (reset whenever a warp finishes an
- *    instruction or a TB is dispatched), and its GTO pick walks only
- *    the candidate-warp mask (active, not waiting; any warp count);
+ *    instruction or a TB is dispatched), one whose LSU is full until
+ *    the LSU pops, and its GTO pick walks only the candidate-warp
+ *    mask (active, not waiting; any warp count);
  *  - an LSU or LLC-slice head that could not go on is not retried
  *    until its cause changes: a fill into that cache when its MSHRs
  *    were full, room in the queue it feeds otherwise;
@@ -110,7 +111,8 @@ class GpuSystem
         std::vector<unsigned> lastIssued; ///< per scheduler
         unsigned activeTbs = 0;
         /** No warp can issue before this cycle unless one changes
-         *  state (instruction done, TB dispatch), which resets it. */
+         *  state (instruction done, TB dispatch), which resets it;
+         *  `~0` while the LSU is full (an LSU pop resets it). */
         Cycle wakeAt = 0;
         /** LSU head state: Link = request-NoC input full. */
         Blocked lsuBlocked = Blocked::No;
@@ -158,6 +160,19 @@ class GpuSystem
     unsigned tbSlotsFor(const Kernel &k) const;
     void dispatchTbs(const Kernel &kernel);
     void issueStage(unsigned sm_idx);
+    /**
+     * True iff SM `sm_idx`'s LSU head is still blocked by its cause:
+     * only this SM's own accesses (none while blocked) and fills into
+     * its L1 (deliverReply clears the gate) change the L1, and only a
+     * request-NoC tick frees input room.
+     */
+    bool lsuHeadBlocked(unsigned sm_idx) const
+    {
+        const Blocked b = sms[sm_idx].lsuBlocked;
+        return b == Blocked::Mshr ||
+               (b == Blocked::Link && !reqNoc->canInject(sm_idx));
+    }
+    /** Drain the LSU head; the caller checks `!lsuHeadBlocked`. */
     void lsuStage(unsigned sm_idx);
     bool tryIssueLine(unsigned sm_idx, const LineReq &req);
     void lineDone(unsigned gid);

@@ -16,13 +16,6 @@ Crossbar::Crossbar(unsigned inputs_, unsigned outputs_,
     assert(inputs >= 1 && outputs >= 1 && channelBytes >= 1);
 }
 
-bool
-Crossbar::canInject(unsigned in) const
-{
-    assert(in < inputs);
-    return inQueue[in].size() < queueDepth;
-}
-
 void
 Crossbar::markHead(unsigned in)
 {

@@ -30,6 +30,7 @@
 #ifndef VALLEY_NOC_CROSSBAR_HH
 #define VALLEY_NOC_CROSSBAR_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -82,7 +83,11 @@ class Crossbar
              unsigned queue_depth = 8);
 
     /** True iff input port `in` can take another packet. */
-    bool canInject(unsigned in) const;
+    bool canInject(unsigned in) const
+    {
+        assert(in < inputs);
+        return inQueue[in].size() < queueDepth;
+    }
 
     /**
      * Inject a packet; returns false (rejected) when the input queue

@@ -19,15 +19,17 @@ struct TbStage
 {
     std::uint64_t requests = 0;
     std::uint32_t words = 0;
-    std::vector<std::uint64_t> bits;
+    std::uint64_t live = 0;          ///< tracked bits some request sets
+    std::vector<std::uint64_t> bits; ///< live lanes, ascending bit
 };
 
 /**
  * Extract the bit planes of one TB: buffer 64 addresses, transpose
  * them with the selected kernel table, and append lane `b` to plane
- * `b`. The tail block is zero-padded, so pad lanes carry no one-bits
- * and the popcount-derived one-counts stay exact at any stream
- * length.
+ * `b` for every bit `b` some request of the TB sets (the OR of its
+ * addresses; every other lane is zero and is not staged). The tail
+ * block is zero-padded, so pad lanes carry no one-bits and the
+ * popcount-derived one-counts stay exact at any stream length.
  */
 void
 extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
@@ -37,7 +39,14 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     const std::uint64_t requests = trace.requestCount();
     const std::uint32_t words =
         static_cast<std::uint32_t>((requests + 63) / 64);
-    out.bits.assign(static_cast<std::size_t>(nbits) * words, 0);
+    std::uint64_t live = 0;
+    for (const WarpTrace &w : trace.warps)
+        for (const MemInstr &instr : w.instrs)
+            for (Addr a : instr.lines)
+                live |= a;
+    live &= bits::mask(nbits);
+    out.bits.assign(static_cast<std::size_t>(std::popcount(live)) * words,
+                    0);
 
     std::uint64_t block[64];
     unsigned fill = 0;
@@ -47,9 +56,9 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
         ops.transpose64(block);
         // After the transpose, bit r of block[c] is bit c of address
         // r: block[c] is the 64-request lane of address bit c.
-        for (unsigned b = 0; b < nbits; ++b)
-            out.bits[static_cast<std::size_t>(b) * words + word] =
-                block[b];
+        std::size_t lane = word;
+        for (std::uint64_t m = live; m != 0; m &= m - 1, lane += words)
+            out.bits[lane] = block[std::countr_zero(m)];
         ++word;
         fill = 0;
     };
@@ -65,6 +74,7 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     assert(word == words);
     out.requests = requests;
     out.words = words;
+    out.live = live;
 }
 
 /** TB-range task granularity, matching workloads/profiler.cc. */
@@ -117,11 +127,16 @@ TracePlanes::TracePlanes(const Workload &workload,
         pool.run();
     }
 
-    // Stage 2 (serial): pack each kernel's staged planes into one
-    // contiguous plane-major arena — bit b's strip holds every TB's
-    // lane words in TB-id order, so incremental moves stream one
-    // strip sequentially. Staging buffers are released as they are
-    // copied, so the transient overhead shrinks TB by TB.
+    // Stage 2 (serial): pack each kernel's staged lanes into one
+    // contiguous plane-major arena with a strip per live bit (the
+    // bits some request of the kernel sets), in ascending bit order.
+    // Bit b's strip holds every TB's lane words in TB-id order, so
+    // incremental moves stream one strip sequentially. A dead bit's
+    // strip would be all zero (pad lanes are zero, so the mask is
+    // exact) and adds nothing to any row that taps it. Staging
+    // buffers are released as they are copied, so the transient
+    // overhead shrinks TB by TB.
+    std::uint64_t dead_strips = 0;
     for (std::size_t ki = 0; ki < ks.size(); ++ki) {
         KernelPlanes &k = kernels[ki];
         k.rowBase = plane_words;
@@ -135,33 +150,29 @@ TracePlanes::TracePlanes(const Workload &workload,
             v.rowOff = plane_words;
             k.kwords += s.words;
             k.uniform = k.uniform && s.words == 1;
+            k.live |= s.live;
             plane_words += s.words;
             k.requests += s.requests;
         }
-        k.arena.resize(static_cast<std::size_t>(nbits) * k.kwords);
+        std::size_t nstrips = 0;
+        for (std::uint64_t m = k.live; m != 0; m &= m - 1)
+            k.stripIdx[std::countr_zero(m)] =
+                static_cast<std::uint8_t>(nstrips++);
+        dead_strips += nbits - nstrips;
+        k.arena.resize(nstrips * k.kwords);
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
             TbStage &s = staged[ki][t];
             const std::size_t lo = k.tbs[t].rowOff - k.rowBase;
+            const std::uint64_t *lane = s.bits.data();
             // copy_n, not memcpy: an empty kernel's arena has a null
             // data() and copying zero words must stay defined.
-            for (unsigned b = 0; b < nbits; ++b)
-                std::copy_n(s.bits.data() +
-                                static_cast<std::size_t>(b) * s.words,
-                            s.words,
-                            k.arena.data() +
-                                static_cast<std::size_t>(b) * k.kwords +
+            for (std::uint64_t m = s.live; m != 0;
+                 m &= m - 1, lane += s.words)
+                std::copy_n(lane, s.words,
+                            k.strip(static_cast<unsigned>(
+                                std::countr_zero(m))) +
                                 lo);
             std::vector<std::uint64_t>().swap(s.bits);
-        }
-        // A strip with no one bit contributes nothing to any row that
-        // taps it, so the kernel's output depends only on the live
-        // bits of a row (pad lanes are zero: the mask is exact).
-        for (unsigned b = 0; b < nbits; ++b) {
-            const std::uint64_t *strip =
-                k.arena.data() + static_cast<std::size_t>(b) * k.kwords;
-            if (std::any_of(strip, strip + k.kwords,
-                            [](std::uint64_t w) { return w != 0; }))
-                k.live |= std::uint64_t{1} << b;
         }
         requests_ += k.requests;
     }
@@ -171,6 +182,7 @@ TracePlanes::TracePlanes(const Workload &workload,
     metrics::Gauge &resident = metrics::gauge("search.plane_bytes");
     resident.add(static_cast<std::int64_t>(planeBytes()));
     metrics::gauge("search.plane_bytes_peak").raiseTo(resident.value());
+    metrics::counter("search.plane_strips_dead").add(dead_strips);
 }
 
 TracePlanes::TracePlanes(TracePlanes &&other) noexcept
@@ -226,42 +238,40 @@ TracePlanes::planeBytes() const
 namespace {
 
 /**
- * Gather the strip segment pointers a row mask taps for one TB —
- * plane `b` of the TB starts at `arena + b * kwords + local_off`.
- * Returns the tap count; `srcs` must hold 64 slots.
+ * Gather the strip segment pointers a row mask (live bits only) taps
+ * for one TB — strip `b` of the TB starts at
+ * `arena + idx[b] * kwords + local_off`. Returns the tap count;
+ * `srcs` must hold 64 slots.
  */
 inline std::size_t
-gatherTaps(const std::uint64_t *arena, std::size_t local_off,
-           std::size_t kwords, std::uint64_t row_mask,
-           const std::uint64_t **srcs)
+gatherTaps(const std::uint64_t *arena, const std::uint8_t *idx,
+           std::size_t kwords, std::size_t local_off,
+           std::uint64_t row_mask, const std::uint64_t **srcs)
 {
     std::size_t nsrc = 0;
-    for (std::uint64_t m = row_mask; m != 0; m &= m - 1) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+    for (std::uint64_t m = row_mask; m != 0; m &= m - 1)
         srcs[nsrc++] =
-            arena + static_cast<std::size_t>(b) * kwords + local_off;
-    }
+            arena + idx[std::countr_zero(m)] * kwords + local_off;
     return nsrc;
 }
 
 /**
- * XOR-fold the tapped plane words of a one-word TB. The per-TB loops
- * below special-case `words == 1` through this instead of the
- * dispatched `SimdOps` kernels: with 64-request TBs (every synth
- * workload) a plane is a single word, and an indirect call per TB
- * costs more than the XOR+popcount it performs. Plain integer ops, so
- * the fast path is trivially bit-identical to the dispatched one.
+ * XOR-fold the tapped plane words of a one-word TB (`row_mask` live
+ * bits only). The per-TB loops below special-case `words == 1`
+ * through this instead of the dispatched `SimdOps` kernels: with
+ * 64-request TBs (every synth workload) a plane is a single word, and
+ * an indirect call per TB costs more than the XOR+popcount it
+ * performs. Plain integer ops, so the fast path is trivially
+ * bit-identical to the dispatched one.
  */
 inline std::uint64_t
-foldOneWord(const std::uint64_t *arena, std::size_t local_off,
-            std::size_t kwords, std::uint64_t row_mask)
+foldOneWord(const std::uint64_t *arena, const std::uint8_t *idx,
+            std::size_t kwords, std::size_t local_off,
+            std::uint64_t row_mask)
 {
     std::uint64_t x = 0;
     for (std::uint64_t m = row_mask; m != 0; m &= m - 1)
-        x ^= arena[static_cast<std::size_t>(
-                       static_cast<unsigned>(std::countr_zero(m))) *
-                       kwords +
-                   local_off];
+        x ^= arena[idx[std::countr_zero(m)] * kwords + local_off];
     return x;
 }
 
@@ -288,19 +298,22 @@ TracePlanes::kernelRowOnes(const KernelPlanes &k, std::uint64_t row_mask,
 {
     const std::uint64_t *srcs[64];
     const std::uint64_t *arena = k.arena.data();
+    const std::uint8_t *idx = k.stripIdx.data();
+    // A dead strip is all zero: dropping its tap leaves the XOR as is.
+    const std::uint64_t taps = row_mask & k.live;
     for (std::size_t t = 0; t < k.tbs.size(); ++t) {
         const TbView &v = k.tbs[t];
         const std::size_t lo = v.rowOff - k.rowBase;
         if (v.words == 1) {
             const std::uint64_t x =
-                foldOneWord(arena, lo, k.kwords, row_mask);
+                foldOneWord(arena, idx, k.kwords, lo, taps);
             if (plane != nullptr)
                 plane[lo] = x;
             ones[t] = static_cast<std::uint64_t>(std::popcount(x));
             continue;
         }
         const std::size_t nsrc =
-            gatherTaps(arena, lo, k.kwords, row_mask, srcs);
+            gatherTaps(arena, idx, k.kwords, lo, taps, srcs);
         ones[t] = ops->xorPopcountN(
             srcs, nsrc, plane != nullptr ? plane + lo : nullptr,
             v.words);
@@ -375,10 +388,7 @@ TracePlanes::toggleRow(const std::uint64_t *base, unsigned bit,
         if (((k.live >> bit) & 1) == 0)
             continue;
         std::uint64_t *ones = onesScratch(k.tbs.size());
-        kernelXorOnes(k, base + k.rowBase,
-                      k.arena.data() +
-                          static_cast<std::size_t>(bit) * k.kwords,
-                      ones);
+        kernelXorOnes(k, base + k.rowBase, k.strip(bit), ones);
         kent[ki] = kernelEntropy(k, ones, window, metric);
         ++computed;
     }
@@ -410,8 +420,7 @@ TracePlanes::applyToggle(std::uint64_t *plane, unsigned bit) const
     for (const KernelPlanes &k : kernels) {
         if (((k.live >> bit) & 1) == 0)
             continue;
-        const std::uint64_t *strip =
-            k.arena.data() + static_cast<std::size_t>(bit) * k.kwords;
+        const std::uint64_t *strip = k.strip(bit);
         std::uint64_t *dst = plane + k.rowBase;
         for (std::size_t w = 0; w < k.kwords; ++w)
             dst[w] ^= strip[w];
@@ -454,9 +463,9 @@ double
 TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window,
                         EntropyMetric metric) const
 {
-    // From-scratch oracle: per-TB one-counts of every kernel's slice
-    // of the combined output plane (no plane materialized), then the
-    // shared entropy tail.
+    // From scratch: per-TB one-counts of every kernel's slice of the
+    // combined output plane (no plane materialized), then the shared
+    // entropy tail.
     assert((row_mask & ~bits::mask(nbits)) == 0 &&
            "row taps must be tracked bits");
     std::vector<double> kent(kernels.size());

@@ -20,28 +20,43 @@
  * ## Arena layout
  *
  * All planes of one kernel live in a single contiguous arena
- * allocation, **plane-major**: input bit `b`'s strip — every TB's
- * lane words for that bit, in TB-id order — is the contiguous range
- * `arena[b * kwords, (b + 1) * kwords)`, and a TB's segment sits at
- * the same local word offset in every strip (its row-plane offset
- * relative to the kernel). Incremental moves then stream: a
- * tap-toggle reads one whole strip sequentially instead of taking a
- * cache miss per TB (the strips of a large workload span megabytes,
- * so a TB-major layout made every per-TB plane read a fresh line),
- * and uniform one-word-per-TB kernels — every synth workload — XOR
- * and popcount the strip through one `SimdOps::xorPopcountEach`
- * call. Resident arena bytes are reported through the metrics
- * registry gauge `search.plane_bytes` (added on construction,
- * subtracted on destruction).
+ * allocation, **plane-major**, holding a strip only for each *live*
+ * input bit of the kernel — a bit some request of the kernel sets
+ * (`kernelLive`). A dead bit's strip would be all zero: bits 0-6 of
+ * 128 B line addresses, and bits above the kernel's footprint. Live
+ * strips sit in ascending bit order, and a per-kernel byte table
+ * filled at construction maps a live bit `b` to its strip index; the
+ * strip holds every TB's lane words for that bit, in TB-id order,
+ * `kwords` words long. A
+ * TB's segment sits at the same local word offset in every strip (its
+ * row-plane offset relative to the kernel). Extraction stages only
+ * each TB's live lanes, so no full-width arena is ever built; over
+ * the 16 Table II workloads at scale 1.0 about half the strips are
+ * dead (DESIGN.md "Search throughput").
+ *
+ * Incremental moves stream: a tap-toggle reads one whole strip
+ * sequentially instead of taking a cache miss per TB (the strips of a
+ * large workload span megabytes, so a TB-major layout made every
+ * per-TB plane read a fresh line), and uniform one-word-per-TB
+ * kernels — every synth workload — XOR and popcount the strip through
+ * one `SimdOps::xorPopcountEach` call. Every reader taps
+ * `row & live_k` only; a dead tap adds exactly zero to the XOR, so the
+ * one-counts are the ones a full-width arena gives. Resident arena
+ * bytes are reported through the metrics registry gauge
+ * `search.plane_bytes` (added on construction, subtracted on
+ * destruction) and its high-water mark `search.plane_bytes_peak`;
+ * the counter `search.plane_strips_dead` adds up the strips not
+ * stored.
  *
  * ## Incremental scoring
  *
  * A kernel's slice of an output plane under row `r` depends only on
  * `r & live_k`, where `live_k` is the set of input bits whose strip
- * has any one bit in kernel `k` (recorded at construction; pad lanes
- * are zero, so the mask is exact). The search therefore caches, per
- * row, the combined output plane plus one entropy value per kernel,
- * and every move re-scores only the kernels it can change:
+ * would have any one bit in kernel `k` (the OR of its addresses,
+ * recorded at construction; pad lanes are zero, so the mask is
+ * exact). The search therefore caches, per row, the combined output
+ * plane plus one entropy value per kernel, and every move re-scores
+ * only the kernels it can change:
  *
  *  - `combineRow` builds a row from scratch: its plane and its
  *    per-kernel entropies;
@@ -57,8 +72,11 @@
  *
  * One-counts are exact integers and a kernel's entropy is a pure
  * function of its one-counts, so every value is bit-identical to
- * `rowEntropy` recomputed from scratch — the oracle path, which uses
- * neither the live masks nor a cached plane.
+ * `rowEntropy` recomputed from scratch, which uses no cached plane.
+ * `rowEntropy` reads the same live strips, so it cannot vouch for the
+ * layout itself: that oracle is `workloads::profileWorkload`, which
+ * maps every trace address (`profileFor` against it in
+ * `tests/bim_search_test.cc`).
  *
  * The arithmetic mirrors `workloads::profileWorkload` exactly: the
  * per-TB one-counts are the same integers the scalar and sliced
@@ -71,6 +89,8 @@
 #ifndef VALLEY_SEARCH_TRACE_PLANES_HH
 #define VALLEY_SEARCH_TRACE_PLANES_HH
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -154,8 +174,9 @@ class TracePlanes
                       EntropyMetric metric) const;
 
     /**
-     * Input bits whose strip in kernel `k` has any one bit: kernel
-     * `k`'s output under a row depends only on `row & kernelLive(k)`.
+     * Input bits some request of kernel `k` sets — the bits with a
+     * stored strip: kernel `k`'s output under a row depends only on
+     * `row & kernelLive(k)`.
      */
     std::uint64_t kernelLive(std::size_t k) const
     {
@@ -172,10 +193,10 @@ class TracePlanes
                     EntropyMetric metric) const;
 
     /**
-     * Score a tap toggle: for every kernel with `bit` live, set
-     * `kent[k]` to the entropy of kernel `k` under `base ^
-     * inputPlane(bit)`; leave every other entry untouched (those
-     * kernels cannot change). Writes no plane. Returns the number of
+     * Score a tap toggle: for every kernel with `bit` live (the only
+     * kernels with a strip for it), set `kent[k]` to the entropy of
+     * kernel `k` under `base ^ inputPlane(bit)`; leave every other
+     * entry untouched (those kernels cannot change). Writes no plane. Returns the number of
      * kernels computed.
      */
     std::size_t toggleRow(const std::uint64_t *base, unsigned bit,
@@ -239,24 +260,40 @@ class TracePlanes
 
     /**
      * One kernel's TBs (TB-id order) over one contiguous plane-major
-     * arena: bit `b`'s strip at `arena[b * kwords]`, TB `t`'s segment
-     * at local offset `tbs[t].rowOff - rowBase` within every strip.
+     * arena of live strips only: live bit `b`'s strip at
+     * `arena[stripIdx[b] * kwords]`, TB `t`'s segment at local offset
+     * `tbs[t].rowOff - rowBase` within every strip.
      */
     struct KernelPlanes
     {
         std::vector<TbView> tbs;
         std::vector<std::uint64_t> arena;
+        /** Live bit -> index of its strip (dead bits: unused). */
+        std::array<std::uint8_t, 64> stripIdx{};
         std::uint64_t requests = 0; ///< combine() weight
-        std::uint64_t live = 0;     ///< bits whose strip is non-zero
+        std::uint64_t live = 0;     ///< bits with a stored strip
         std::size_t rowBase = 0;    ///< first word in a row plane
         std::size_t kwords = 0;     ///< words per strip (sum of TBs)
         bool uniform = false;       ///< every TB has words == 1
+
+        /** Strip of live bit `b`. */
+        const std::uint64_t *strip(unsigned b) const
+        {
+            assert((live >> b) & 1);
+            return arena.data() + stripIdx[b] * kwords;
+        }
+        std::uint64_t *strip(unsigned b)
+        {
+            assert((live >> b) & 1);
+            return arena.data() + stripIdx[b] * kwords;
+        }
     };
 
     /**
      * Exact per-TB one-counts of kernel `k`'s slice of `row_mask`'s
-     * output plane into `ones[0, k.tbs.size())`; the slice itself is
-     * stored at `plane` (kernel-local offsets) unless it is null.
+     * output plane (live taps only) into `ones[0, k.tbs.size())`; the
+     * slice itself is stored at `plane` (kernel-local offsets) unless
+     * it is null.
      */
     void kernelRowOnes(const KernelPlanes &k, std::uint64_t row_mask,
                        std::uint64_t *plane, std::uint64_t *ones) const;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -79,22 +80,74 @@ TEST(TracePlanes, IdentityProfileMatchesProfilerBitExactly)
         }
 }
 
+namespace {
+
+/**
+ * A random invertible matrix every row of which taps one of bits 0-6
+ * (always zero in 128 B line addresses, so never stored as a strip):
+ * identity, each row XORed with a low identity row, then random row
+ * additions (each keeps the matrix invertible).
+ */
+BitMatrix
+randomMatrixTappingDeadBits(unsigned n, std::uint64_t seed)
+{
+    BitMatrix m = BitMatrix::identity(n);
+    for (unsigned r = 7; r < n; ++r)
+        m.setRow(r, m.row(r) ^ m.row(r % 7));
+    XorShiftRng rng(seed);
+    for (int i = 0; i < 200; ++i) {
+        const unsigned a = static_cast<unsigned>(rng.below(n));
+        const unsigned b = static_cast<unsigned>(rng.below(n));
+        if (a != b && (m.row(a) ^ m.row(b)) & bits::mask(7))
+            m.setRow(a, m.row(a) ^ m.row(b));
+    }
+    return m;
+}
+
+} // namespace
+
 TEST(TracePlanes, MappedProfileMatchesProfilerBitExactly)
 {
-    // Under a non-trivial BIM the planes path XORs input planes while
-    // the profiler maps every address; same integers must fall out.
-    PlanesFixture s("MT");
-    const auto mapper =
-        mapping::makeScheme(Scheme::PAE, gddr5(), /*seed=*/1);
-    workloads::ProfileOptions po = s.po;
-    po.mapper = mapper.get();
-    const EntropyProfile direct =
-        workloads::profileWorkload(*s.wl, po);
-    const EntropyProfile planes = s.planes->profileFor(
-        mapper->matrix(), po.window, po.metric);
-    ASSERT_EQ(direct.perBit.size(), planes.perBit.size());
-    for (std::size_t b = 0; b < direct.perBit.size(); ++b)
-        EXPECT_EQ(direct.perBit[b], planes.perBit[b]) << "bit " << b;
+    // Under a non-trivial BIM the planes path XORs the stored (live)
+    // input strips while the profiler maps every address; the same
+    // integers must fall out. The random matrices tap bits 0-6 and
+    // bits above a kernel's footprint, whose strips are not stored,
+    // so this pins the compact arena against the trace itself.
+    const AddressLayout layout = gddr5();
+    std::uint64_t seed = 0;
+    for (const std::string &abbrev : workloads::allSet())
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution}) {
+            PlanesFixture s(abbrev, metric);
+            const BitMatrix random =
+                randomMatrixTappingDeadBits(s.po.numBits, ++seed);
+            ASSERT_TRUE(random.invertible()) << abbrev;
+            for (std::uint64_t r = 0; r < random.size(); ++r)
+                ASSERT_NE(random.row(static_cast<unsigned>(r)) &
+                              bits::mask(7),
+                          0u)
+                    << abbrev << " row " << r;
+            const AddressMapper random_mapper("random", layout,
+                                                       random);
+            const auto pae =
+                mapping::makeScheme(Scheme::PAE, layout, /*seed=*/1);
+            for (const AddressMapper *mapper :
+                 {&random_mapper,
+                  static_cast<const AddressMapper *>(pae.get())}) {
+                workloads::ProfileOptions po = s.po;
+                po.mapper = mapper;
+                const EntropyProfile direct =
+                    workloads::profileWorkload(*s.wl, po);
+                const EntropyProfile planes = s.planes->profileFor(
+                    mapper->matrix(), po.window, po.metric);
+                ASSERT_EQ(direct.perBit.size(), planes.perBit.size());
+                for (std::size_t b = 0; b < direct.perBit.size(); ++b)
+                    EXPECT_EQ(direct.perBit[b], planes.perBit[b])
+                        << abbrev << " " << mapper->name() << " bit "
+                        << b;
+            }
+        }
 }
 
 TEST(TracePlanes, MatchesProfilerUnderBvrDistributionMetric)
@@ -147,6 +200,57 @@ TEST(TracePlanes, KernelLiveMaskIsTheOrOfItsAddresses)
             some_dead = some_dead || any != bits::mask(s.po.numBits);
         }
         EXPECT_TRUE(some_dead) << abbrev;
+    }
+}
+
+TEST(TracePlanes, DeadStripsAreNotStored)
+{
+    // Each kernel's arena holds one strip per live bit: its bytes are
+    // popcount(live) x (sum of TB words) x 8, with the TB words taken
+    // from the trace. A dead bit has no strip, so toggling it scores
+    // no kernel and applying it leaves the plane as it is.
+    metrics::Counter &dead = metrics::counter("search.plane_strips_dead");
+    for (const std::string &abbrev : workloads::allSet()) {
+        const std::uint64_t dead_before = dead.value();
+        PlanesFixture s(abbrev);
+        const TracePlanes &p = *s.planes;
+        const auto &ks = s.wl->kernels();
+        ASSERT_EQ(p.numKernels(), ks.size());
+        std::uint64_t bytes = 0;
+        std::uint64_t dead_strips = 0;
+        std::size_t words = 0;
+        for (std::size_t k = 0; k < ks.size(); ++k) {
+            std::uint64_t kwords = 0;
+            for (TbId tb = 0; tb < ks[k].numTbs(); ++tb)
+                kwords += (ks[k].trace(tb).requestCount() + 63) / 64;
+            const std::uint64_t live = p.kernelLive(k);
+            EXPECT_EQ(live & bits::mask(7), 0u) << abbrev << " " << k;
+            bytes += static_cast<std::uint64_t>(std::popcount(live)) *
+                     kwords * sizeof(std::uint64_t);
+            dead_strips += p.numBits() -
+                           static_cast<unsigned>(std::popcount(live));
+            words += kwords;
+        }
+        EXPECT_EQ(p.planeWords(), words) << abbrev;
+        EXPECT_EQ(p.planeBytes(), bytes) << abbrev;
+        EXPECT_EQ(dead.value() - dead_before, dead_strips) << abbrev;
+        EXPECT_GE(dead_strips, 7 * ks.size()) << abbrev;
+
+        const std::uint64_t row =
+            bits::mask(p.numBits()) & ~bits::mask(7);
+        std::vector<std::uint64_t> plane(p.planeWords());
+        std::vector<double> kent(p.numKernels());
+        p.combineRow(row, plane.data(), kent.data(), s.po.window,
+                     s.po.metric);
+        const std::vector<std::uint64_t> plane_before = plane;
+        const std::vector<double> kent_before = kent;
+        EXPECT_EQ(p.toggleRow(plane.data(), 3, kent.data(), s.po.window,
+                              s.po.metric),
+                  0u)
+            << abbrev;
+        EXPECT_EQ(kent, kent_before) << abbrev;
+        p.applyToggle(plane.data(), 3);
+        EXPECT_EQ(plane, plane_before) << abbrev;
     }
 }
 
