@@ -30,8 +30,8 @@ namespace bench {
 
 /**
  * Minimal machine-readable bench output: a flat, ordered JSON object
- * written on destruction. Used for the BENCH_*.json perf-trajectory
- * files that later PRs compare against.
+ * written on destruction. Used for the drill outcomes the smokes
+ * record (BENCH_resume.json, BENCH_synth.json, ...).
  */
 class JsonEmitter
 {
@@ -81,18 +81,6 @@ class JsonEmitter
     field(const std::string &key, const char *v)
     {
         field(key, std::string(v));
-    }
-
-    /**
-     * Embed a pre-rendered JSON value verbatim (e.g. the metrics
-     * registry snapshot, itself a nested object). The caller is
-     * responsible for `json` being valid JSON; render it at nesting
-     * depth 1 if it is multiline, so the indentation lines up.
-     */
-    void
-    rawField(const std::string &key, std::string json)
-    {
-        fields.emplace_back(key, std::move(json));
     }
 
     void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Synth smoke — a tiny-scale end-to-end pass over the synthetic
- * scenario subsystem, run by CI next to `perf_snapshot`:
+ * scenario subsystem, run by CI next to the other drills:
  *
  *  1. three synth specs (two valley shapes, one near-flat) run
  *     through the full harness grid under BASE and SBIM — i.e.

@@ -145,7 +145,7 @@ transpose64Scalar(std::uint64_t rows[64])
  * profile, a search trajectory, or a cached artifact. `VALLEY_NO_SIMD=1`
  * in the environment pins dispatch to the scalar table (read at first
  * resolution); `scalarSimdOps()` is always available in-process as
- * the test/bench oracle regardless of the environment.
+ * the test oracle regardless of the environment.
  */
 enum class SimdLevel
 {
@@ -208,7 +208,7 @@ const SimdOps &scalarSimdOps();
 
 /**
  * Table for an explicit level, or nullptr when this CPU (or build)
- * cannot run it. Scalar is never null. For tests and benches.
+ * cannot run it. Scalar is never null. For tests.
  */
 const SimdOps *simdOpsFor(SimdLevel level);
 

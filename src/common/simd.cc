@@ -317,11 +317,22 @@ constexpr SimdOps kAvx2Ops = {
 #define VALLEY_TARGET512 \
     target("avx512f,avx512bw,avx512vl,avx512vpopcntdq")
 
+/*
+ * The AVX-512 kernels spell shifts, permutes and extracts in their
+ * zero-masking form under an all-ones mask. That is the same
+ * instruction as the plain form, whose `_mm512_undefined_*`
+ * pass-through GCC 12 reports as used uninitialized under -Wall.
+ */
+#define VALLEY_ALL8 static_cast<__mmask8>(0xFF)
+
 #define VALLEY_DELTA512(A, B, J, M)                                    \
     do {                                                               \
         const __m512i t_ = _mm512_and_si512(                           \
-            _mm512_xor_si512(_mm512_srli_epi64((A), (J)), (B)), (M));  \
-        (A) = _mm512_xor_si512((A), _mm512_slli_epi64(t_, (J)));       \
+            _mm512_xor_si512(                                          \
+                _mm512_maskz_srli_epi64(VALLEY_ALL8, (A), (J)), (B)),  \
+            (M));                                                      \
+        (A) = _mm512_xor_si512(                                        \
+            (A), _mm512_maskz_slli_epi64(VALLEY_ALL8, t_, (J)));       \
         (B) = _mm512_xor_si512((B), t_);                               \
     } while (0)
 
@@ -331,16 +342,35 @@ constexpr SimdOps kAvx2Ops = {
  */
 #define VALLEY_DELTA512_LANES(V, J, M, IDX, HI)                        \
     do {                                                               \
-        const __m512i p_ = _mm512_permutexvar_epi64((IDX), (V));       \
+        const __m512i p_ =                                             \
+            _mm512_maskz_permutexvar_epi64(VALLEY_ALL8, (IDX), (V));   \
         const __m512i tlo_ = _mm512_and_si512(                         \
-            _mm512_xor_si512(_mm512_srli_epi64((V), (J)), p_), (M));   \
+            _mm512_xor_si512(                                          \
+                _mm512_maskz_srli_epi64(VALLEY_ALL8, (V), (J)), p_),   \
+            (M));                                                      \
         const __m512i thi_ = _mm512_and_si512(                         \
-            _mm512_xor_si512(_mm512_srli_epi64(p_, (J)), (V)), (M));   \
+            _mm512_xor_si512(                                          \
+                _mm512_maskz_srli_epi64(VALLEY_ALL8, p_, (J)), (V)),   \
+            (M));                                                      \
         const __m512i t_ = _mm512_mask_blend_epi64((HI), tlo_, thi_);  \
+        const __m512i tj_ =                                            \
+            _mm512_maskz_slli_epi64(VALLEY_ALL8, t_, (J));             \
         (V) = _mm512_xor_si512(                                        \
-            (V), _mm512_mask_blend_epi64(                              \
-                     (HI), _mm512_slli_epi64(t_, (J)), t_));           \
+            (V), _mm512_mask_blend_epi64((HI), tj_, t_));              \
     } while (0)
+
+/** Sum of the eight 64-bit lanes. */
+__attribute__((VALLEY_TARGET512)) std::uint64_t
+reduceAddAvx512(__m512i v)
+{
+    const __m256i h = _mm256_add_epi64(
+        _mm512_maskz_extracti64x4_epi64(VALLEY_ALL8, v, 1),
+        _mm512_maskz_extracti64x4_epi64(VALLEY_ALL8, v, 0));
+    const __m128i q = _mm_add_epi64(_mm256_extracti128_si256(h, 1),
+                                    _mm256_extracti128_si256(h, 0));
+    return static_cast<std::uint64_t>(_mm_cvtsi128_si64(q)) +
+           static_cast<std::uint64_t>(_mm_extract_epi64(q, 1));
+}
 
 __attribute__((VALLEY_TARGET512)) void
 transpose64Avx512(std::uint64_t rows[64])
@@ -385,7 +415,7 @@ popcountWordsAvx512(const std::uint64_t *p, std::size_t n)
     for (; i + 8 <= n; i += 8)
         acc = _mm512_add_epi64(
             acc, _mm512_popcnt_epi64(_mm512_loadu_si512(p + i)));
-    std::uint64_t ones = _mm512_reduce_add_epi64(acc);
+    std::uint64_t ones = reduceAddAvx512(acc);
     for (; i < n; ++i)
         ones += static_cast<std::uint64_t>(std::popcount(p[i]));
     return ones;
@@ -402,7 +432,7 @@ xorPopcount2Avx512(const std::uint64_t *a, const std::uint64_t *b,
                                            _mm512_loadu_si512(b + i));
         acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
     }
-    std::uint64_t ones = _mm512_reduce_add_epi64(acc);
+    std::uint64_t ones = reduceAddAvx512(acc);
     for (; i < n; ++i)
         ones += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
     return ones;
@@ -422,7 +452,7 @@ xorPopcountNAvx512(const std::uint64_t *const *srcs, std::size_t nsrc,
             _mm512_storeu_si512(dst + i, x);
         acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
     }
-    std::uint64_t ones = _mm512_reduce_add_epi64(acc);
+    std::uint64_t ones = reduceAddAvx512(acc);
     for (; i < n; ++i) {
         std::uint64_t x = 0;
         for (std::size_t s = 0; s < nsrc; ++s)

@@ -76,7 +76,7 @@ class BvrAccumulator
  * Implemented as an incremental sliding-window multiset (count map
  * plus running entropy numerator maintained under add/evict), O(n)
  * amortized; `windowEntropyReference` is the straightforward
- * per-window sort kept as the oracle for tests and benches.
+ * per-window sort kept as the oracle for tests.
  */
 double windowEntropy(const std::vector<double> &bvr_per_tb,
                      unsigned window);
@@ -84,7 +84,7 @@ double windowEntropy(const std::vector<double> &bvr_per_tb,
 /**
  * Reference implementation of `windowEntropy` (per-window
  * assign+sort, O(n * w log w)). Semantically identical; kept as the
- * test oracle and as the scalar baseline in `BENCH_profiler.json`.
+ * test oracle.
  */
 double windowEntropyReference(const std::vector<double> &bvr_per_tb,
                               unsigned window);

@@ -144,6 +144,7 @@ cacheKey(const std::string &config_name, const std::string &workload,
          const std::string &layout)
 {
     std::ostringstream out;
+    out.precision(17); // distinct scales must yield distinct keys
     out << kResultCacheVersion << ';' << config_name << ';' << workload
         << ';' << scheme << ';' << seed << ';' << scale << ';'
         << layout;

@@ -187,7 +187,7 @@ struct SearchOptions
      * `tests/joint_search_test.cc`), which is why toggling this knob
      * does NOT bump `kSearchVersion`. Off = score every member of
      * every proposal via the oracle, never rejecting early (the slow
-     * reference leg for tests and benches).
+     * reference leg for tests).
      */
     bool planeCache = true;
 

@@ -115,8 +115,8 @@ struct PlaneOptions
     /**
      * Pin this instance to the scalar kernel table regardless of CPU
      * and environment — the in-process oracle leg for SIMD identity
-     * tests and benches. (All levels are bit-identical anyway; this
-     * exists so one process can time both paths.)
+     * tests. (All levels are bit-identical anyway; this exists so one
+     * process can compare both paths.)
      */
     bool forceScalar = false;
 };

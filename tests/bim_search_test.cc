@@ -351,20 +351,27 @@ TEST(TracePlanes, PlaneBytesPeakOutlivesThePlanes)
 
 TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
 {
-    const auto wl = workloads::make("LU", kScale);
-    PlaneOptions dispatched{30, 1, false};
-    PlaneOptions scalar{30, 1, true};
-    const TracePlanes a(*wl, dispatched);
-    const TracePlanes b(*wl, scalar);
-    const BitMatrix id = BitMatrix::identity(30);
-    for (const EntropyMetric metric :
-         {EntropyMetric::BitProbability,
-          EntropyMetric::BvrDistribution}) {
-        const EntropyProfile pa = a.profileFor(id, 12, metric);
-        const EntropyProfile pb = b.profileFor(id, 12, metric);
-        for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
-            EXPECT_EQ(pa.perBit[bit], pb.perBit[bit])
-                << "bit " << bit;
+    // LU's TBs span 1-5 plane words, SPMV's 8-26, so the widest SIMD
+    // loops run as well as their tails. Identity rows tap one strip
+    // each; the random rows tap several, so the multi-source XOR
+    // kernels run on both tables too.
+    for (const char *abbrev : {"LU", "SPMV"}) {
+        const auto wl = workloads::make(abbrev, kScale);
+        PlaneOptions dispatched{30, 1, false};
+        PlaneOptions scalar{30, 1, true};
+        const TracePlanes a(*wl, dispatched);
+        const TracePlanes b(*wl, scalar);
+        for (const BitMatrix &m : {BitMatrix::identity(30),
+                                   randomMatrixTappingDeadBits(30, 1)})
+            for (const EntropyMetric metric :
+                 {EntropyMetric::BitProbability,
+                  EntropyMetric::BvrDistribution}) {
+                const EntropyProfile pa = a.profileFor(m, 12, metric);
+                const EntropyProfile pb = b.profileFor(m, 12, metric);
+                for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
+                    EXPECT_EQ(pa.perBit[bit], pb.perBit[bit])
+                        << abbrev << " bit " << bit;
+            }
     }
 }
 
@@ -403,8 +410,9 @@ TEST(BimSearch, SearchedMatrixInvertibleWithIdentityNonTargetRows)
     for (unsigned t : searcher.targets())
         is_target[t] = true;
     for (unsigned row = 0; row < layout.addrBits; ++row)
-        if (!is_target[row])
+        if (!is_target[row]) {
             EXPECT_TRUE(r.bim.rowIsIdentity(row)) << "row " << row;
+        }
     // Target rows only tap candidate (page-mask) bits.
     for (unsigned t : searcher.targets())
         EXPECT_EQ(r.bim.row(t) & ~searcher.candidateMask(), 0u);
@@ -586,8 +594,9 @@ TEST(BimSearch, CancelledSearchDegradesToScoredInvertibleIncumbent)
     for (unsigned t : searcher.targets())
         is_target[t] = true;
     for (unsigned row = 0; row < layout.addrBits; ++row)
-        if (!is_target[row])
+        if (!is_target[row]) {
             EXPECT_TRUE(r.bim.rowIsIdentity(row)) << "row " << row;
+        }
 }
 
 TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)

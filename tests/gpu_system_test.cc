@@ -37,7 +37,7 @@ miniWorkload(unsigned tbs, bool strided, bool writes = false)
     std::vector<Kernel> ks;
     ks.push_back(std::move(k));
     return std::make_unique<Workload>(
-        WorkloadInfo{"mini", "MINI", "test", false}, std::move(ks));
+        WorkloadInfo{"mini", "MINI", "test", false, ""}, std::move(ks));
 }
 
 SimConfig
@@ -149,7 +149,7 @@ TEST(GpuSystem, ValleyPatternSerializesUnderBase)
     });
     std::vector<Kernel> ks;
     ks.push_back(std::move(k));
-    const Workload wl(WorkloadInfo{"camped", "CAMP", "test", true},
+    const Workload wl(WorkloadInfo{"camped", "CAMP", "test", true, ""},
                       std::move(ks));
 
     const SimConfig cfg = quickConfig();

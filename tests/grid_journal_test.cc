@@ -105,6 +105,20 @@ TEST(GridJournal, PathForIsStableAndDistinct)
     EXPECT_NE(a.find("grid_journal_"), std::string::npos);
 }
 
+TEST(GridJournal, CellKeysKeepCloseScalesDistinct)
+{
+    // The two scales build different LU traces (64 vs 128 rows per
+    // block), so their cells must not share a cache or journal key.
+    EXPECT_NE(cacheKey("cfg", "LU", "map:base", 1, 0.2490230),
+              cacheKey("cfg", "LU", "map:base", 1, 0.24902344));
+    // Dyadic scales keep the keys they always had.
+    const std::string v = kResultCacheVersion;
+    EXPECT_EQ(cacheKey("cfg", "LU", "map:base", 1, 0.25),
+              v + ";cfg;LU;map:base;1;0.25;");
+    EXPECT_EQ(cacheKey("cfg", "LU", "map:base", 1, 1.0),
+              v + ";cfg;LU;map:base;1;1;");
+}
+
 TEST_F(GridJournalTest, RecordLoadRoundTripsBitIdentically)
 {
     const GridJournal j((dir / "j.csv").string());

@@ -128,6 +128,10 @@ TEST(JointSearch, ParallelRestartsBitIdenticalToSerialOnSet)
     EXPECT_EQ(a.stats.accepted, b.stats.accepted);
     EXPECT_EQ(a.memberCosts, b.memberCosts);
     EXPECT_EQ(a.memberTargetEntropy, b.memberTargetEntropy);
+    // A second run of the same searcher reproduces the first.
+    const SearchResult again = ss.anneal();
+    EXPECT_TRUE(again.bim == a.bim);
+    EXPECT_EQ(again.stats.evaluations, a.stats.evaluations);
 }
 
 TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
