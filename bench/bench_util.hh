@@ -158,8 +158,8 @@ printHeader(const std::string &experiment, const std::string &what)
     std::printf("==================================================="
                 "=========================\n");
     std::printf("%s — %s\n", experiment.c_str(), what.c_str());
-    std::printf("Get Out of the Valley (ISCA'18) reproduction; see "
-                "EXPERIMENTS.md\n");
+    std::printf("Get Out of the Valley (ISCA'18) reproduction; "
+                "deviations: DESIGN.md, \"Table II workloads\"\n");
     std::printf("==================================================="
                 "=========================\n\n");
 }

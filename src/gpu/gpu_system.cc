@@ -20,6 +20,9 @@ GpuSystem::GpuSystem(const SimConfig &cfg_, const AddressMapper &mapper_)
     if (mapper.layout().addrBits != cfg.layout.addrBits)
         throw std::invalid_argument(
             "GpuSystem: mapper layout does not match config layout");
+    if (cfg.nocPeriod == 0 || cfg.metricSamplePeriod == 0)
+        throw std::invalid_argument(
+            "GpuSystem: NoC and metric sample periods must be >= 1");
 }
 
 void
@@ -44,10 +47,8 @@ GpuSystem::premapTrace(TbTrace &trace) const
     const CompiledTransform &bim = mapper.compiled();
     if (bim.isIdentity())
         return;
-    for (WarpTrace &warp : trace.warps)
-        for (MemInstr &instr : warp.instrs)
-            for (Addr &line : instr.lines)
-                line = bim.apply(line);
+    for (Addr &line : trace.lines())
+        line = bim.apply(line);
 }
 
 unsigned
@@ -520,6 +521,11 @@ GpuSystem::run(const Workload &workload)
     bankPerChannelSum = 0.0;
 
     std::vector<NocDelivery> deliveries;
+    // Cycles until the next NoC tick and metric sample: countdowns
+    // that run across kernels, so they fire on the same cycles as
+    // `cycle % period == 0` without a division per cycle.
+    unsigned nocCountdown = cfg.nocPeriod;
+    unsigned sampleCountdown = cfg.metricSamplePeriod;
 
     // ---- simulate kernels back to back ------------------------------------
     for (const Kernel &k : workload.kernels()) {
@@ -575,7 +581,8 @@ GpuSystem::run(const Workload &workload)
             }
 
             // NoC + LLC domain (700 MHz).
-            if (cycle % cfg.nocPeriod == 0) {
+            if (--nocCountdown == 0) {
+                nocCountdown = cfg.nocPeriod;
                 ++nocCycle;
                 deliveries.clear();
                 reqNoc->tick(nocCycle, deliveries);
@@ -613,8 +620,10 @@ GpuSystem::run(const Workload &workload)
                     handleDramCompletions();
             }
 
-            if (cycle % cfg.metricSamplePeriod == 0)
+            if (--sampleCountdown == 0) {
+                sampleCountdown = cfg.metricSamplePeriod;
                 sampleMetrics();
+            }
         }
     }
     kernel = nullptr;

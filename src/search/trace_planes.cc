@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "common/metrics.hh"
@@ -40,10 +41,8 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     const std::uint32_t words =
         static_cast<std::uint32_t>((requests + 63) / 64);
     std::uint64_t live = 0;
-    for (const WarpTrace &w : trace.warps)
-        for (const MemInstr &instr : w.instrs)
-            for (Addr a : instr.lines)
-                live |= a;
+    for (Addr a : trace.lines())
+        live |= a;
     live &= bits::mask(nbits);
     out.bits.assign(static_cast<std::size_t>(std::popcount(live)) * words,
                     0);
@@ -62,13 +61,13 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
         ++word;
         fill = 0;
     };
-    for (const WarpTrace &w : trace.warps)
-        for (const MemInstr &instr : w.instrs)
-            for (Addr a : instr.lines) {
-                block[fill] = a;
-                if (++fill == 64)
-                    flush();
-            }
+    // Requests in generation order: one-counts are sums over the TB,
+    // so the order within it changes none of them.
+    for (Addr a : trace.lines()) {
+        block[fill] = a;
+        if (++fill == 64)
+            flush();
+    }
     if (fill > 0)
         flush();
     assert(word == words);
@@ -79,6 +78,14 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
 
 /** TB-range task granularity, matching workloads/profiler.cc. */
 constexpr unsigned kTbsPerTask = 256;
+
+/** Fold one word into a running hash (multiply-xorshift). */
+inline std::uint64_t
+hashStep(std::uint64_t h, std::uint64_t v)
+{
+    h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+    return h ^ (h >> 29);
+}
 
 } // namespace
 
@@ -136,10 +143,18 @@ TracePlanes::TracePlanes(const Workload &workload,
     // exact) and adds nothing to any row that taps it. Staging
     // buffers are released as they are copied, so the transient
     // overhead shrinks TB by TB.
+    //
+    // A kernel whose live mask, per-TB requests and words, and strips
+    // all equal an earlier kernel's is an alias of it: every row
+    // gives both the same one-counts and so the same entropy. Its
+    // arena is dropped and it shares the earlier kernel's row-plane
+    // slice. Candidates are found by hash and confirmed word by word.
     std::uint64_t dead_strips = 0;
+    std::uint64_t aliased = 0;
+    std::unordered_multimap<std::uint64_t, std::size_t> by_hash;
     for (std::size_t ki = 0; ki < ks.size(); ++ki) {
         KernelPlanes &k = kernels[ki];
-        k.rowBase = plane_words;
+        k.rep = ki;
         k.tbs.resize(staged[ki].size());
         k.uniform = !k.tbs.empty();
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
@@ -147,11 +162,10 @@ TracePlanes::TracePlanes(const Workload &workload,
             TbView &v = k.tbs[t];
             v.requests = s.requests;
             v.words = s.words;
-            v.rowOff = plane_words;
+            v.off = k.kwords;
             k.kwords += s.words;
             k.uniform = k.uniform && s.words == 1;
             k.live |= s.live;
-            plane_words += s.words;
             k.requests += s.requests;
         }
         std::size_t nstrips = 0;
@@ -162,7 +176,6 @@ TracePlanes::TracePlanes(const Workload &workload,
         k.arena.resize(nstrips * k.kwords);
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
             TbStage &s = staged[ki][t];
-            const std::size_t lo = k.tbs[t].rowOff - k.rowBase;
             const std::uint64_t *lane = s.bits.data();
             // copy_n, not memcpy: an empty kernel's arena has a null
             // data() and copying zero words must stay defined.
@@ -171,10 +184,34 @@ TracePlanes::TracePlanes(const Workload &workload,
                 std::copy_n(lane, s.words,
                             k.strip(static_cast<unsigned>(
                                 std::countr_zero(m))) +
-                                lo);
+                                k.tbs[t].off);
             std::vector<std::uint64_t>().swap(s.bits);
         }
         requests_ += k.requests;
+
+        std::uint64_t h = hashStep(0, k.live);
+        for (const TbView &v : k.tbs)
+            h = hashStep(hashStep(h, v.requests), v.words);
+        for (const std::uint64_t w : k.arena)
+            h = hashStep(h, w);
+        const auto [lo, hi] = by_hash.equal_range(h);
+        for (auto it = lo; it != hi; ++it) {
+            const KernelPlanes &r = kernels[it->second];
+            if (r.live == k.live && r.tbs == k.tbs && r.arena == k.arena) {
+                k.rep = it->second;
+                break;
+            }
+        }
+        if (k.rep != ki) {
+            ++aliased;
+            k.rowBase = kernels[k.rep].rowBase;
+            std::vector<TbView>().swap(k.tbs);
+            std::vector<std::uint64_t>().swap(k.arena);
+            continue;
+        }
+        by_hash.emplace(h, ki);
+        k.rowBase = plane_words;
+        plane_words += k.kwords;
     }
     maxEntropy_ =
         entropyFromKernels(std::vector<double>(kernels.size(), 1.0).data());
@@ -183,6 +220,7 @@ TracePlanes::TracePlanes(const Workload &workload,
     resident.add(static_cast<std::int64_t>(planeBytes()));
     metrics::gauge("search.plane_bytes_peak").raiseTo(resident.value());
     metrics::counter("search.plane_strips_dead").add(dead_strips);
+    metrics::counter("search.plane_kernels_aliased").add(aliased);
 }
 
 TracePlanes::TracePlanes(TracePlanes &&other) noexcept
@@ -303,7 +341,7 @@ TracePlanes::kernelRowOnes(const KernelPlanes &k, std::uint64_t row_mask,
     const std::uint64_t taps = row_mask & k.live;
     for (std::size_t t = 0; t < k.tbs.size(); ++t) {
         const TbView &v = k.tbs[t];
-        const std::size_t lo = v.rowOff - k.rowBase;
+        const std::size_t lo = v.off;
         if (v.words == 1) {
             const std::uint64_t x =
                 foldOneWord(arena, idx, k.kwords, lo, taps);
@@ -332,7 +370,7 @@ TracePlanes::kernelXorOnes(const KernelPlanes &k, const std::uint64_t *a,
     }
     for (std::size_t t = 0; t < k.tbs.size(); ++t) {
         const TbView &v = k.tbs[t];
-        const std::size_t lo = v.rowOff - k.rowBase;
+        const std::size_t lo = v.off;
         ones[t] = v.words == 1
                       ? static_cast<std::uint64_t>(
                             std::popcount(a[lo] ^ b[lo]))
@@ -370,6 +408,10 @@ TracePlanes::combineRow(std::uint64_t row_mask, std::uint64_t *plane,
            "row taps must be tracked bits");
     for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
         const KernelPlanes &k = kernels[ki];
+        if (k.rep != ki) {
+            kent[ki] = kent[k.rep];
+            continue;
+        }
         std::uint64_t *ones = onesScratch(k.tbs.size());
         kernelRowOnes(k, row_mask, plane + k.rowBase, ones);
         kent[ki] = kernelEntropy(k, ones, window, metric);
@@ -387,10 +429,14 @@ TracePlanes::toggleRow(const std::uint64_t *base, unsigned bit,
         const KernelPlanes &k = kernels[ki];
         if (((k.live >> bit) & 1) == 0)
             continue;
+        ++computed;
+        if (k.rep != ki) {
+            kent[ki] = kent[k.rep];
+            continue;
+        }
         std::uint64_t *ones = onesScratch(k.tbs.size());
         kernelXorOnes(k, base + k.rowBase, k.strip(bit), ones);
         kent[ki] = kernelEntropy(k, ones, window, metric);
-        ++computed;
     }
     return computed;
 }
@@ -405,10 +451,14 @@ TracePlanes::xorRows(const std::uint64_t *a, const std::uint64_t *b,
         const KernelPlanes &k = kernels[ki];
         if ((k.live & b_mask) == 0)
             continue;
+        ++computed;
+        if (k.rep != ki) {
+            kent[ki] = kent[k.rep];
+            continue;
+        }
         std::uint64_t *ones = onesScratch(k.tbs.size());
         kernelXorOnes(k, a + k.rowBase, b + k.rowBase, ones);
         kent[ki] = kernelEntropy(k, ones, window, metric);
-        ++computed;
     }
     return computed;
 }
@@ -417,8 +467,10 @@ void
 TracePlanes::applyToggle(std::uint64_t *plane, unsigned bit) const
 {
     assert(bit < nbits && "toggled tap must be a tracked bit");
-    for (const KernelPlanes &k : kernels) {
-        if (((k.live >> bit) & 1) == 0)
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        // An alias shares its representative's slice: XOR it once.
+        if (k.rep != ki || ((k.live >> bit) & 1) == 0)
             continue;
         const std::uint64_t *strip = k.strip(bit);
         std::uint64_t *dst = plane + k.rowBase;
@@ -431,8 +483,9 @@ void
 TracePlanes::applyXor(std::uint64_t *plane, const std::uint64_t *other,
                       std::uint64_t other_mask) const
 {
-    for (const KernelPlanes &k : kernels) {
-        if ((k.live & other_mask) == 0)
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        if (k.rep != ki || (k.live & other_mask) == 0)
             continue;
         std::uint64_t *dst = plane + k.rowBase;
         const std::uint64_t *src = other + k.rowBase;
@@ -471,6 +524,10 @@ TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window,
     std::vector<double> kent(kernels.size());
     for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
         const KernelPlanes &k = kernels[ki];
+        if (k.rep != ki) {
+            kent[ki] = kent[k.rep];
+            continue;
+        }
         std::uint64_t *ones = onesScratch(k.tbs.size());
         kernelRowOnes(k, row_mask, nullptr, ones);
         kent[ki] = kernelEntropy(k, ones, window, metric);

@@ -48,6 +48,20 @@
  * the counter `search.plane_strips_dead` adds up the strips not
  * stored.
  *
+ * ## Kernel aliasing
+ *
+ * Iterative workloads relaunch kernels whose traces equal an earlier
+ * launch's (SC, SPMV, NN, FWT, SRAD2: 110 of the 1,706 kernels of the
+ * 16 Table II workloads at scale 1.0). Construction matches each
+ * kernel against the earlier ones — live mask, per-TB requests and
+ * words, and every strip word equal; hash first, then a full compare
+ * — and a match becomes an *alias*: it stores no arena, shares its
+ * representative's row-plane slice, and its entropy is copied from
+ * the representative's, which was computed first in kernel order.
+ * Equal planes give equal one-counts under every row, so the copy is
+ * the value the kernel would get on its own. The counter
+ * `search.plane_kernels_aliased` adds up the aliases.
+ *
  * ## Incremental scoring
  *
  * A kernel's slice of an output plane under row `r` depends only on
@@ -66,16 +80,18 @@
  *    the cached plane and count `base ^ strip` per TB without storing
  *    the XOR (write-free proposals);
  *  - `applyToggle`/`applyXor` XOR the cached plane in place, changed
- *    kernels only, once a move is accepted;
- *  - `entropyFromKernels` re-sums `(requests_k / total) * e_k` in
- *    kernel order.
+ *    kernels only and each shared slice once, once a move is
+ *    accepted;
+ *  - `entropyFromKernels` re-sums `(requests_k / total) * e_k` over
+ *    every kernel, aliases included, in kernel order.
  *
  * One-counts are exact integers and a kernel's entropy is a pure
  * function of its one-counts, so every value is bit-identical to
  * `rowEntropy` recomputed from scratch, which uses no cached plane.
- * `rowEntropy` reads the same live strips, so it cannot vouch for the
- * layout itself: that oracle is `workloads::profileWorkload`, which
- * maps every trace address (`profileFor` against it in
+ * `rowEntropy` reads the same live strips and aliases, so it cannot
+ * vouch for the layout itself: that oracle is
+ * `workloads::profileWorkload`, which maps every trace address of
+ * every kernel (`profileFor` against it in
  * `tests/bim_search_test.cc`).
  *
  * The arithmetic mirrors `workloads::profileWorkload` exactly: the
@@ -152,12 +168,14 @@ class TracePlanes
 
     /**
      * 64-request words in one combined row plane — the concatenation
-     * of every TB's lane, in (kernel, TB) order (`plane` buffers
-     * passed to the incremental entry points have this length).
+     * of every TB's lane, in (kernel, TB) order, over the kernels that
+     * are not aliases (`plane` buffers passed to the incremental
+     * entry points have this length).
      */
     std::size_t planeWords() const { return plane_words; }
 
-    /** Resident arena bytes (the `search.plane_bytes` gauge value). */
+    /** Resident arena bytes (the `search.plane_bytes` gauge value);
+     *  aliases store none. */
     std::uint64_t planeBytes() const;
 
     /**
@@ -168,7 +186,8 @@ class TracePlanes
      * matrix containing this row. Bits of `row_mask` at or above
      * `numBits()` must be clear. The from-scratch oracle the
      * incremental path is tested against: it reads every tapped
-     * strip and uses neither the live masks nor a cached plane.
+     * stored strip and uses no cached plane (aliases copy their
+     * representative's value, as everywhere).
      */
     double rowEntropy(std::uint64_t row_mask, unsigned window,
                       EntropyMetric metric) const;
@@ -196,8 +215,8 @@ class TracePlanes
      * Score a tap toggle: for every kernel with `bit` live (the only
      * kernels with a strip for it), set `kent[k]` to the entropy of
      * kernel `k` under `base ^ inputPlane(bit)`; leave every other
-     * entry untouched (those kernels cannot change). Writes no plane. Returns the number of
-     * kernels computed.
+     * entry untouched (those kernels cannot change). Writes no plane.
+     * Returns the number of entries set, aliases included.
      */
     std::size_t toggleRow(const std::uint64_t *base, unsigned bit,
                           double *kent, unsigned window,
@@ -207,8 +226,8 @@ class TracePlanes
      * Score a row XOR: for every kernel where `b_mask` (the row mask
      * whose plane is `b`) has a live bit, set `kent[k]` to the
      * entropy of kernel `k` under `a ^ b`; leave every other entry
-     * untouched. Writes no plane. Returns the number of kernels
-     * computed.
+     * untouched. Writes no plane. Returns the number of entries set,
+     * aliases included.
      */
     std::size_t xorRows(const std::uint64_t *a, const std::uint64_t *b,
                         std::uint64_t b_mask, double *kent,
@@ -255,14 +274,21 @@ class TracePlanes
     {
         std::uint64_t requests = 0;
         std::uint32_t words = 0; ///< 64-request words per bit plane
-        std::size_t rowOff = 0;  ///< this TB's words in a row plane
+        std::size_t off = 0;     ///< first word in its kernel's strips
+
+        bool operator==(const TbView &) const = default;
     };
 
     /**
      * One kernel's TBs (TB-id order) over one contiguous plane-major
      * arena of live strips only: live bit `b`'s strip at
-     * `arena[stripIdx[b] * kwords]`, TB `t`'s segment at local offset
-     * `tbs[t].rowOff - rowBase` within every strip.
+     * `arena[stripIdx[b] * kwords]`, TB `t`'s segment at offset
+     * `tbs[t].off` within every strip and within the kernel's slice
+     * of a row plane, which starts at `rowBase`.
+     *
+     * An alias (`rep` != its own index) has the same planes as the
+     * earlier kernel `rep`: it stores no TBs and no arena, shares
+     * `rep`'s row-plane slice, and copies `rep`'s entropy.
      */
     struct KernelPlanes
     {
@@ -274,6 +300,7 @@ class TracePlanes
         std::uint64_t live = 0;     ///< bits with a stored strip
         std::size_t rowBase = 0;    ///< first word in a row plane
         std::size_t kwords = 0;     ///< words per strip (sum of TBs)
+        std::size_t rep = 0;        ///< first kernel with these planes
         bool uniform = false;       ///< every TB has words == 1
 
         /** Strip of live bit `b`. */

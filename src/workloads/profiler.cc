@@ -35,17 +35,14 @@ accumulateTb(const Kernel &kernel, TbId tb, const ProfileOptions &opts,
              std::uint64_t &requests)
 {
     SlicedBvrAccumulator acc(opts.numBits);
+    // One-counts are order-free, so the TB's flat line array streams
+    // in one call.
     const TbTrace trace = kernel.trace(tb);
-    for (const WarpTrace &w : trace.warps) {
-        for (const MemInstr &instr : w.instrs) {
-            if (ct)
-                acc.addManyMapped(instr.lines, [ct](Addr a) {
-                    return ct->apply(a);
-                });
-            else
-                acc.addMany(instr.lines);
-        }
-    }
+    if (ct)
+        acc.addManyMapped(trace.lines(),
+                          [ct](Addr a) { return ct->apply(a); });
+    else
+        acc.addMany(trace.lines());
     requests = acc.requestCount();
     bvr = acc.bvrs();
 }

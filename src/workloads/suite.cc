@@ -200,9 +200,10 @@ makeLU(double scale)
 // ---------------------------------------------------------------------
 // GS — Gaussian Elimination (Rodinia). 510 kernels... 254 here
 // (two kernels per iteration of a 128x128 system; the paper's input
-// launches 510 — see EXPERIMENTS.md). 128x128 floats, pitch 512 B:
-// the 64 KB matrix fits a single LLC slice, so DRAM traffic nearly
-// vanishes after warmup (Table II MPKI 0.01) and speedups stay small.
+// launches 510 — see DESIGN.md, "Table II workloads"). 128x128
+// floats, pitch 512 B: the 64 KB matrix fits a single LLC slice, so
+// DRAM traffic nearly vanishes after warmup (Table II MPKI 0.01) and
+// speedups stay small.
 // The per-kernel pivot column pins bits 7-8 (the entropy valley);
 // PM's row-bit donors are entirely dead.
 // ---------------------------------------------------------------------

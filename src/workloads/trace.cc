@@ -10,27 +10,6 @@ namespace valley {
 
 namespace {
 
-/**
- * One warp access's addresses: on the stack up to 64 threads, on the
- * heap above (never for a 32-thread warp).
- */
-class WarpBuffer
-{
-  public:
-    explicit WarpBuffer(std::size_t threads)
-    {
-        if (threads > kStackThreads)
-            heap_.resize(threads);
-    }
-
-    Addr *data() { return heap_.empty() ? stack_ : heap_.data(); }
-
-  private:
-    static constexpr std::size_t kStackThreads = 64;
-    Addr stack_[kStackThreads];
-    std::vector<Addr> heap_;
-};
-
 /** Mask clearing the in-line offset bits of a power-of-two line. */
 Addr
 lineMaskFor(unsigned line_bytes)
@@ -65,46 +44,87 @@ coalesce(std::span<const Addr> thread_addrs, unsigned line_bytes)
     return lines;
 }
 
-TraceBuilder::TraceBuilder(unsigned warps_per_tb, unsigned line_bytes,
-                           unsigned compute_gap)
-    : lineBytes_(line_bytes), lineMask_(lineMaskFor(line_bytes)),
-      computeGap(compute_gap), pendingGap(warps_per_tb, 0)
+TbTrace::TbTrace(const TbTrace &other)
+    : warps(other.warps), instrs_(other.instrs_), lines_(other.lines_)
 {
-    tb.warps.resize(warps_per_tb);
+    rebase(other);
+}
+
+TbTrace &
+TbTrace::operator=(const TbTrace &other)
+{
+    if (this != &other)
+        *this = TbTrace(other);
+    return *this;
 }
 
 void
-TraceBuilder::push(unsigned warp, const Addr *lines, std::size_t n,
+TbTrace::rebase(const TbTrace &from)
+{
+    for (MemInstr &instr : instrs_)
+        instr.lines = {lines_.data() +
+                           (instr.lines.data() - from.lines_.data()),
+                       instr.lines.size()};
+    for (WarpTrace &w : warps)
+        w.instrs = {instrs_.data() +
+                        (w.instrs.data() - from.instrs_.data()),
+                    w.instrs.size()};
+}
+
+TraceBuilder::TraceBuilder(unsigned warps_per_tb, unsigned line_bytes,
+                           unsigned compute_gap)
+    : lineBytes_(line_bytes), lineMask_(lineMaskFor(line_bytes)),
+      computeGap(compute_gap), warps(warps_per_tb)
+{
+    // Most TBs fit in these; larger ones grow geometrically.
+    lines.reserve(kInitialLines);
+    issued.reserve(kInitialInstrs);
+}
+
+Addr *
+TraceBuilder::stage(std::size_t threads)
+{
+    const std::size_t first = lines.size();
+    lines.resize(first + threads);
+    return lines.data() + first;
+}
+
+void
+TraceBuilder::push(unsigned warp, const Addr *staged, std::size_t n,
                    bool write)
 {
-    assert(warp < tb.warps.size());
+    assert(warp < warps.size());
+    const std::size_t first =
+        static_cast<std::size_t>(staged - lines.data());
+    lines.resize(first + n);
     if (n == 0)
         return;
-    MemInstr &instr = tb.warps[warp].instrs.emplace_back();
-    instr.lines.assign(lines, lines + n); // one allocation, exact size
-    instr.write = write;
-    instr.gap = static_cast<std::uint16_t>(
-        std::min<unsigned>(computeGap + pendingGap[warp], 0xFFFF));
-    pendingGap[warp] = 0;
+    WarpState &ws = warps[warp];
+    issued.push_back(Issued{
+        static_cast<std::uint32_t>(first),
+        static_cast<std::uint32_t>(n), warp,
+        static_cast<std::uint16_t>(
+            std::min<unsigned>(computeGap + ws.pendingGap, 0xFFFF)),
+        write});
+    ws.pendingGap = 0;
+    ++ws.instrs;
 }
 
 void
 TraceBuilder::access(unsigned warp, std::span<const Addr> thread_addrs,
                      bool write)
 {
-    WarpBuffer scratch(thread_addrs.size());
-    Addr *buf = scratch.data();
+    Addr *buf = stage(thread_addrs.size());
     std::copy(thread_addrs.begin(), thread_addrs.end(), buf);
-    push(warp, buf,
-         coalesceInPlace(buf, thread_addrs.size(), lineMask_), write);
+    push(warp, buf, coalesceInPlace(buf, thread_addrs.size(), lineMask_),
+         write);
 }
 
 void
 TraceBuilder::accessStrided(unsigned warp, Addr base, std::int64_t stride,
                             unsigned threads, bool write)
 {
-    WarpBuffer scratch(threads);
-    Addr *buf = scratch.data();
+    Addr *buf = stage(threads);
     // Thread addresses are monotone in t and line alignment keeps
     // them so: filling a negative stride from the back leaves the
     // lines sorted, and coalescing needs no sort.
@@ -123,21 +143,40 @@ TraceBuilder::accessStrided(unsigned warp, Addr base, std::int64_t stride,
 void
 TraceBuilder::accessLine(unsigned warp, Addr line_addr, bool write)
 {
-    const Addr line = line_addr & lineMask_;
-    push(warp, &line, 1, write);
+    Addr *buf = stage(1);
+    *buf = line_addr & lineMask_;
+    push(warp, buf, 1, write);
 }
 
 void
 TraceBuilder::computeDelay(unsigned warp, unsigned cycles)
 {
-    assert(warp < tb.warps.size());
-    pendingGap[warp] += cycles;
+    assert(warp < warps.size());
+    warps[warp].pendingGap += cycles;
 }
 
 TbTrace
 TraceBuilder::take()
 {
-    return std::move(tb);
+    // Counting sort of the issued instructions by warp: warp w's
+    // instructions keep their issue order in one contiguous run.
+    TbTrace tb;
+    tb.lines_ = std::move(lines);
+    tb.instrs_.resize(issued.size());
+    tb.warps.resize(warps.size());
+    std::uint32_t next = 0;
+    for (std::size_t w = 0; w < warps.size(); ++w) {
+        tb.warps[w].instrs = {tb.instrs_.data() + next, warps[w].instrs};
+        const std::uint32_t count = warps[w].instrs;
+        warps[w].instrs = next; // now the warp's fill cursor
+        next += count;
+    }
+    for (const Issued &i : issued)
+        tb.instrs_[warps[i.warp].instrs++] = MemInstr{
+            {tb.lines_.data() + i.first, i.count}, i.write, i.gap};
+    issued.clear();
+    warps.assign(warps.size(), WarpState{});
+    return tb;
 }
 
 } // namespace valley

@@ -23,35 +23,63 @@
 
 namespace valley {
 
-/** One warp-level memory instruction after coalescing. */
+/**
+ * One warp-level memory instruction after coalescing. Its lines are a
+ * view into the flat line storage of the `TbTrace` that holds it.
+ */
 struct MemInstr
 {
-    std::vector<Addr> lines; ///< line-aligned transaction addresses
+    std::span<const Addr> lines; ///< line-aligned transaction addresses
     bool write = false;
     std::uint16_t gap = 0;   ///< compute cycles before this instr issues
 };
 
-/** The memory instruction stream of one warp. */
+/** The memory instruction stream of one warp: a view into its TB. */
 struct WarpTrace
 {
-    std::vector<MemInstr> instrs;
+    std::span<const MemInstr> instrs;
 };
 
-/** The trace of one thread block. */
+/**
+ * The trace of one thread block.
+ *
+ * A TB owns two flat arrays: every line of every instruction, in
+ * generation order, and every instruction, warp by warp. `warps` and
+ * each `MemInstr::lines` view into them, so building a TB costs a few
+ * allocations rather than one per instruction. Moving a trace keeps
+ * the arrays (and so every view) in place; copying one re-points the
+ * copy's views at its own arrays.
+ */
 struct TbTrace
 {
     std::vector<WarpTrace> warps;
 
+    TbTrace() = default;
+    TbTrace(const TbTrace &other);
+    TbTrace(TbTrace &&) noexcept = default;
+    TbTrace &operator=(const TbTrace &other);
+    TbTrace &operator=(TbTrace &&) noexcept = default;
+
     /** Total coalesced transactions in the TB. */
-    std::uint64_t
-    requestCount() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &w : warps)
-            for (const auto &i : w.instrs)
-                n += i.lines.size();
-        return n;
-    }
+    std::uint64_t requestCount() const { return lines_.size(); }
+
+    /**
+     * Every line of the TB in generation order (the order the kernel
+     * generator issued the accesses, warps interleaved). Writable, so
+     * a consumer can remap all lines in place in one pass.
+     */
+    std::span<Addr> lines() { return lines_; }
+    std::span<const Addr> lines() const { return lines_; }
+
+  private:
+    friend class TraceBuilder;
+
+    /** Point the views at this trace's arrays, at the offsets they
+     *  have in `from`'s. */
+    void rebase(const TbTrace &from);
+
+    std::vector<MemInstr> instrs_; ///< warp-major
+    std::vector<Addr> lines_;      ///< generation order
 };
 
 /**
@@ -65,8 +93,10 @@ std::vector<Addr> coalesce(std::span<const Addr> thread_addrs,
 /**
  * Incremental builder used by the kernel generator callbacks.
  *
- * Coalesces each access of up to 64 threads in a stack buffer and
- * allocates its `MemInstr::lines` once, at the exact line count.
+ * Stages each access's thread addresses at the end of one growing
+ * line array and coalesces them there, in place; `take` sorts the
+ * instructions warp-major in one counting pass. No allocation is made
+ * per instruction.
  */
 class TraceBuilder
 {
@@ -100,16 +130,40 @@ class TraceBuilder
     unsigned lineBytes() const { return lineBytes_; }
 
   private:
-    /** Append one instruction of `n` sorted, distinct lines (none:
-     *  no instruction). */
-    void push(unsigned warp, const Addr *lines, std::size_t n,
+    /** One instruction as issued: its lines at `lines[first, +count)`. */
+    struct Issued
+    {
+        std::uint32_t first = 0;
+        std::uint32_t count = 0;
+        std::uint32_t warp = 0;
+        std::uint16_t gap = 0;
+        bool write = false;
+    };
+
+    struct WarpState
+    {
+        unsigned pendingGap = 0;
+        std::uint32_t instrs = 0; ///< instructions issued so far
+    };
+
+    /** Make room for `threads` addresses at the end of `lines`. */
+    Addr *stage(std::size_t threads);
+
+    /** Keep the first `n` addresses staged at `staged` (sorted,
+     *  distinct lines) as one instruction of `warp`; none: no
+     *  instruction. Drops the rest of the staging room. */
+    void push(unsigned warp, const Addr *staged, std::size_t n,
               bool write);
+
+    static constexpr std::size_t kInitialLines = 256;
+    static constexpr std::size_t kInitialInstrs = 64;
 
     unsigned lineBytes_;
     Addr lineMask_; ///< clears the in-line offset bits
     unsigned computeGap;
-    std::vector<unsigned> pendingGap;
-    TbTrace tb;
+    std::vector<WarpState> warps;
+    std::vector<Addr> lines;    ///< every instruction's lines, in order
+    std::vector<Issued> issued; ///< every instruction, in issue order
 };
 
 } // namespace valley

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -203,12 +204,49 @@ TEST(TracePlanes, KernelLiveMaskIsTheOrOfItsAddresses)
     }
 }
 
+namespace {
+
+/** Every TB's lines of one kernel, in generation order. */
+std::vector<std::vector<Addr>>
+kernelLines(const Kernel &k)
+{
+    std::vector<std::vector<Addr>> out;
+    for (TbId tb = 0; tb < k.numTbs(); ++tb) {
+        const TbTrace t = k.trace(tb);
+        out.emplace_back(t.lines().begin(), t.lines().end());
+    }
+    return out;
+}
+
+/**
+ * Per kernel of `wl`, whether an earlier kernel generates exactly the
+ * same lines in every TB — read from the traces, independently of
+ * the planes.
+ */
+std::vector<bool>
+repeatedKernels(const Workload &wl)
+{
+    std::vector<std::vector<std::vector<Addr>>> seen;
+    std::vector<bool> repeated;
+    for (const Kernel &k : wl.kernels()) {
+        auto lines = kernelLines(k);
+        repeated.push_back(std::find(seen.begin(), seen.end(), lines) !=
+                           seen.end());
+        seen.push_back(std::move(lines));
+    }
+    return repeated;
+}
+
+} // namespace
+
 TEST(TracePlanes, DeadStripsAreNotStored)
 {
     // Each kernel's arena holds one strip per live bit: its bytes are
     // popcount(live) x (sum of TB words) x 8, with the TB words taken
-    // from the trace. A dead bit has no strip, so toggling it scores
-    // no kernel and applying it leaves the plane as it is.
+    // from the trace. A kernel that repeats an earlier one stores no
+    // arena and no row-plane slice. A dead bit has no strip, so
+    // toggling it scores no kernel and applying it leaves the plane
+    // as it is.
     metrics::Counter &dead = metrics::counter("search.plane_strips_dead");
     for (const std::string &abbrev : workloads::allSet()) {
         const std::uint64_t dead_before = dead.value();
@@ -216,6 +254,7 @@ TEST(TracePlanes, DeadStripsAreNotStored)
         const TracePlanes &p = *s.planes;
         const auto &ks = s.wl->kernels();
         ASSERT_EQ(p.numKernels(), ks.size());
+        const std::vector<bool> repeated = repeatedKernels(*s.wl);
         std::uint64_t bytes = 0;
         std::uint64_t dead_strips = 0;
         std::size_t words = 0;
@@ -225,10 +264,12 @@ TEST(TracePlanes, DeadStripsAreNotStored)
                 kwords += (ks[k].trace(tb).requestCount() + 63) / 64;
             const std::uint64_t live = p.kernelLive(k);
             EXPECT_EQ(live & bits::mask(7), 0u) << abbrev << " " << k;
-            bytes += static_cast<std::uint64_t>(std::popcount(live)) *
-                     kwords * sizeof(std::uint64_t);
             dead_strips += p.numBits() -
                            static_cast<unsigned>(std::popcount(live));
+            if (repeated[k])
+                continue;
+            bytes += static_cast<std::uint64_t>(std::popcount(live)) *
+                     kwords * sizeof(std::uint64_t);
             words += kwords;
         }
         EXPECT_EQ(p.planeWords(), words) << abbrev;
@@ -328,6 +369,164 @@ TEST(TracePlanes, KernelGranularMovesMatchOracle)
             // nothing about it.
             EXPECT_GT(skipped, 0u) << abbrev;
         }
+}
+
+namespace {
+
+/**
+ * A kernel that replays `src` one line per instruction, warp by warp;
+ * `flip` is XORed into the first line of TB 0.
+ */
+Kernel
+replayKernel(const Kernel &src, Addr flip)
+{
+    return Kernel(src.params(), [src, flip](TbId tb, TraceBuilder &b) {
+        const TbTrace t = src.trace(tb);
+        bool first = tb == 0;
+        for (unsigned w = 0; w < t.warps.size(); ++w)
+            for (const MemInstr &instr : t.warps[w].instrs)
+                for (const Addr a : instr.lines) {
+                    b.accessLine(w, first ? a ^ flip : a, instr.write);
+                    first = false;
+                }
+    });
+}
+
+/**
+ * Each kernel of `wl` planed on its own: the row entropy of planes
+ * `k` is kernel `k`'s entropy.
+ */
+std::vector<TracePlanes>
+planesPerKernel(const Workload &wl)
+{
+    PlaneOptions popts;
+    popts.threads = 1;
+    std::vector<TracePlanes> out;
+    for (const Kernel &k : wl.kernels())
+        out.emplace_back(Workload(wl.info(), {k}), popts);
+    return out;
+}
+
+/**
+ * Every value the fixture's planes give for rows over the live bits,
+ * against `alone` (`planesPerKernel`): combineRow, toggleRow and
+ * xorRows must give each kernel exactly its own entropy, rowEntropy
+ * the weighted fold, profileFor the profiler's profile, and an
+ * applied move the plane combineRow builds.
+ */
+void
+expectPerKernelValues(const PlanesFixture &s,
+                      const std::vector<TracePlanes> &alone,
+                      const std::string &tag)
+{
+    const TracePlanes &p = *s.planes;
+    const unsigned w = s.po.window;
+    const EntropyMetric metric = s.po.metric;
+    const std::size_t nk = p.numKernels();
+    const std::uint64_t live_bits = bits::mask(30) & ~bits::mask(7);
+    XorShiftRng rng(77);
+    for (int trial = 0; trial < 6; ++trial) {
+        const std::uint64_t row = rng.next() & live_bits;
+        const std::uint64_t other = rng.next() & live_bits;
+        const unsigned bit = 7 + static_cast<unsigned>(rng.below(23));
+        std::vector<std::uint64_t> plane(p.planeWords());
+        std::vector<std::uint64_t> other_plane(p.planeWords());
+        std::vector<double> kent(nk);
+        std::vector<double> other_kent(nk);
+        p.combineRow(row, plane.data(), kent.data(), w, metric);
+        p.combineRow(other, other_plane.data(), other_kent.data(), w,
+                     metric);
+        for (std::size_t k = 0; k < nk; ++k)
+            ASSERT_EQ(kent[k], alone[k].rowEntropy(row, w, metric))
+                << tag << " combineRow kernel " << k;
+        EXPECT_EQ(p.entropyFromKernels(kent.data()),
+                  p.rowEntropy(row, w, metric))
+            << tag;
+
+        std::vector<double> cand = kent;
+        std::size_t changed = 0;
+        for (std::size_t k = 0; k < nk; ++k)
+            changed += (p.kernelLive(k) >> bit) & 1;
+        EXPECT_EQ(p.toggleRow(plane.data(), bit, cand.data(), w, metric),
+                  changed)
+            << tag;
+        const std::uint64_t toggled = row ^ (std::uint64_t{1} << bit);
+        for (std::size_t k = 0; k < nk; ++k)
+            ASSERT_EQ(cand[k], alone[k].rowEntropy(toggled, w, metric))
+                << tag << " toggleRow kernel " << k;
+
+        cand = kent;
+        p.xorRows(plane.data(), other_plane.data(), other, cand.data(),
+                  w, metric);
+        for (std::size_t k = 0; k < nk; ++k)
+            ASSERT_EQ(cand[k],
+                      alone[k].rowEntropy(row ^ other, w, metric))
+                << tag << " xorRows kernel " << k;
+
+        // A shared slice must be XORed once, not once per kernel.
+        std::vector<std::uint64_t> fresh(p.planeWords());
+        p.applyToggle(plane.data(), bit);
+        p.combineRow(toggled, fresh.data(), cand.data(), w, metric);
+        EXPECT_EQ(plane, fresh) << tag << " applyToggle";
+        p.applyXor(plane.data(), other_plane.data(), other);
+        p.combineRow(toggled ^ other, fresh.data(), cand.data(), w,
+                     metric);
+        EXPECT_EQ(plane, fresh) << tag << " applyXor";
+    }
+    const EntropyProfile direct = workloads::profileWorkload(*s.wl, s.po);
+    const EntropyProfile planes = p.profileFor(
+        BitMatrix::identity(s.po.numBits), w, metric);
+    EXPECT_EQ(direct.perBit, planes.perBit) << tag << " profileFor";
+}
+
+} // namespace
+
+TEST(TracePlanes, IdenticalKernelsAreScoredOnce)
+{
+    // SC and SPMV repeat most of their kernels. A repeat stores no
+    // planes and copies the entropy of the first kernel like it, so
+    // every value must still be the one the kernel gets on its own.
+    metrics::Counter &aliased =
+        metrics::counter("search.plane_kernels_aliased");
+    for (const char *abbrev : {"SC", "SPMV"}) {
+        const std::uint64_t before = aliased.value();
+        PlanesFixture s(abbrev);
+        const std::vector<bool> repeated = repeatedKernels(*s.wl);
+        const auto repeats = static_cast<std::uint64_t>(
+            std::count(repeated.begin(), repeated.end(), true));
+        EXPECT_GT(repeats, 0u) << abbrev;
+        EXPECT_EQ(aliased.value() - before, repeats) << abbrev;
+
+        const std::vector<TracePlanes> alone = planesPerKernel(*s.wl);
+        std::uint64_t all_bytes = 0;
+        std::uint64_t distinct_bytes = 0;
+        for (std::size_t k = 0; k < alone.size(); ++k) {
+            all_bytes += alone[k].planeBytes();
+            if (!repeated[k])
+                distinct_bytes += alone[k].planeBytes();
+        }
+        EXPECT_EQ(s.planes->planeBytes(), distinct_bytes) << abbrev;
+        EXPECT_LT(s.planes->planeBytes(), all_bytes) << abbrev;
+        expectPerKernelValues(s, alone, abbrev);
+    }
+
+    // Two replays of one kernel alias; a third that differs from them
+    // in one line of one TB (same requests, same live bits) does not.
+    PlanesFixture s("SC");
+    const Kernel src = s.wl->kernels().front();
+    s.wl = std::make_unique<Workload>(
+        s.wl->info(), std::vector<Kernel>{replayKernel(src, 0),
+                                          replayKernel(src, 0),
+                                          replayKernel(src, Addr{1} << 7)});
+    const std::uint64_t before = aliased.value();
+    s.planes = std::make_unique<TracePlanes>(*s.wl, PlaneOptions{30, 1});
+    EXPECT_EQ(aliased.value() - before, 1u);
+    const auto &ks = s.wl->kernels();
+    ASSERT_EQ(ks[2].trace(0).requestCount(), ks[0].trace(0).requestCount());
+    ASSERT_EQ(s.planes->kernelLive(2), s.planes->kernelLive(0));
+    const std::vector<TracePlanes> alone = planesPerKernel(*s.wl);
+    EXPECT_EQ(s.planes->planeBytes(), 2 * alone[0].planeBytes());
+    expectPerKernelValues(s, alone, "one-line replay");
 }
 
 TEST(TracePlanes, PlaneBytesPeakOutlivesThePlanes)

@@ -69,6 +69,21 @@ TEST(GpuSystem, RejectsMismatchedLayout)
     EXPECT_THROW(GpuSystem(cfg, *mapper), std::invalid_argument);
 }
 
+TEST(GpuSystem, RejectsZeroClockPeriods)
+{
+    // NoC ticks and metric samples fire once every `period` SM
+    // cycles; a period of 0 names no such cycle.
+    const auto mapper = mapping::makeScheme(Scheme::BASE,
+                                            quickConfig().layout);
+    SimConfig noc = quickConfig();
+    noc.nocPeriod = 0;
+    EXPECT_THROW(GpuSystem(noc, *mapper), std::invalid_argument);
+    SimConfig sample = quickConfig();
+    sample.metricSamplePeriod = 0;
+    EXPECT_THROW(GpuSystem(sample, *mapper), std::invalid_argument);
+    EXPECT_NO_THROW(GpuSystem(quickConfig(), *mapper));
+}
+
 TEST(GpuSystem, DeterministicAcrossRuns)
 {
     const SimConfig cfg = quickConfig();

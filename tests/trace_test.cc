@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -122,6 +124,53 @@ TEST(TbTrace, RequestCountSumsAllLines)
     EXPECT_EQ(tb.requestCount(), 9u);
 }
 
+TEST(TbTrace, CopiedOrMovedTraceKeepsItsLines)
+{
+    // Instructions view the TB's own flat arrays: a copy must view
+    // its own, a move must carry them along, and neither may depend
+    // on the source staying alive.
+    TraceBuilder b(2, 128, 4);
+    b.accessStrided(0, 0, 128, 8, false); // 8 lines
+    b.accessLine(1, 0x4000, true);        // 1 line
+    b.accessStrided(0, 0x10000, 4, 64, false); // 2 lines
+    auto src = std::make_unique<TbTrace>(b.take());
+    const std::vector<std::vector<Addr>> want = {
+        {0, 128, 256, 384, 512, 640, 768, 896}, {0x10000, 0x10080},
+        {0x4000}};
+
+    const auto check = [&want](const TbTrace &t, const char *what) {
+        EXPECT_EQ(t.requestCount(), 11u) << what;
+        ASSERT_EQ(t.warps.size(), 2u) << what;
+        ASSERT_EQ(t.warps[0].instrs.size(), 2u) << what;
+        ASSERT_EQ(t.warps[1].instrs.size(), 1u) << what;
+        std::size_t i = 0;
+        for (const WarpTrace &w : t.warps)
+            for (const MemInstr &instr : w.instrs) {
+                EXPECT_EQ(std::vector<Addr>(instr.lines.begin(),
+                                            instr.lines.end()),
+                          want[i++])
+                    << what;
+                EXPECT_GE(instr.lines.data(), t.lines().data()) << what;
+                EXPECT_LE(instr.lines.data() + instr.lines.size(),
+                          t.lines().data() + t.lines().size())
+                    << what;
+            }
+        EXPECT_TRUE(t.warps[1].instrs[0].write) << what;
+    };
+
+    TbTrace copied(*src);
+    TbTrace assigned;
+    assigned = *src;
+    TbTrace moved(std::move(*src));
+    src.reset();
+    check(copied, "copied");
+    check(assigned, "copy-assigned");
+    check(moved, "moved");
+    TbTrace move_assigned;
+    move_assigned = std::move(moved);
+    check(move_assigned, "move-assigned");
+}
+
 TEST(TraceBuilder, EmptyAccessIgnored)
 {
     TraceBuilder b(1, 128, 4);
@@ -176,15 +225,26 @@ TEST(TraceBuilder, CoalescerMatchesSortUniqueReference)
         const TbTrace tb = b.take();
         ASSERT_EQ(tb.warps[0].instrs.size(), 1u);
         ASSERT_EQ(tb.warps[1].instrs.size(), 1u);
-        const auto &explicit_lines = tb.warps[0].instrs[0].lines;
-        const auto &strided_lines = tb.warps[1].instrs[0].lines;
+        const std::span<const Addr> explicit_view =
+            tb.warps[0].instrs[0].lines;
+        const std::span<const Addr> strided_view =
+            tb.warps[1].instrs[0].lines;
+        const std::vector<Addr> explicit_lines(explicit_view.begin(),
+                                               explicit_view.end());
+        const std::vector<Addr> strided_lines(strided_view.begin(),
+                                              strided_view.end());
         EXPECT_EQ(explicit_lines, referenceLines(addrs, 128))
             << "trial " << trial << " threads " << threads;
         EXPECT_EQ(explicit_lines, coalesce(addrs, 128));
         EXPECT_EQ(strided_lines, referenceLines(strided, 128))
             << "trial " << trial << " stride " << stride;
-        EXPECT_EQ(explicit_lines.capacity(), explicit_lines.size());
-        EXPECT_EQ(strided_lines.capacity(), strided_lines.size());
+        // The two instructions sit back to back in the TB's flat line
+        // storage, with nothing of the staging room left between.
+        EXPECT_EQ(explicit_view.data(), tb.lines().data());
+        EXPECT_EQ(strided_view.data(),
+                  explicit_view.data() + explicit_view.size());
+        EXPECT_EQ(tb.requestCount(),
+                  explicit_view.size() + strided_view.size());
     }
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "workloads/profiler.hh"
 #include "workloads/workload.hh"
@@ -38,7 +40,8 @@ TEST(WorkloadRegistry, InfoMatchesGroup)
 
 TEST(WorkloadRegistry, KernelCountsMatchTableIIWhereFeasible)
 {
-    // Exact matches (see EXPERIMENTS.md for documented deviations).
+    // Exact matches (DESIGN.md, "Table II workloads", documents the
+    // deviations).
     EXPECT_EQ(workloads::make("MT", 0.25)->numKernels(), 4u);
     EXPECT_EQ(workloads::make("LU", 1.0)->numKernels(), 1022u);
     EXPECT_EQ(workloads::make("NW", 1.0)->numKernels(), 255u);
@@ -104,8 +107,8 @@ TEST_P(EveryWorkload, TracesAreDeterministic)
     for (std::size_t i = 0; i < a.warps.size(); ++i) {
         ASSERT_EQ(a.warps[i].instrs.size(), b.warps[i].instrs.size());
         for (std::size_t j = 0; j < a.warps[i].instrs.size(); ++j)
-            EXPECT_EQ(a.warps[i].instrs[j].lines,
-                      b.warps[i].instrs[j].lines);
+            EXPECT_TRUE(std::ranges::equal(a.warps[i].instrs[j].lines,
+                                           b.warps[i].instrs[j].lines));
     }
 }
 
